@@ -93,8 +93,15 @@ def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None)
             sys.stderr.write(provenance)
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     n, t = args.n, args.t
+    if n < 1 or t < 1:
+        return _usage_error("--n and --t must be positive")
     budget = _pick_budget(args.budget, DEFAULT_WITNESS_BUDGET)
     method = args.method
     if method == "auto":
@@ -148,8 +155,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (InadmissibleError, UcyFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
 
     report = verify_multiset_ucycle(word, t)
     if not report.ok:
@@ -167,8 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         word, t = load_ucy(args.input)
     except (OSError, UcyFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     if args.kind == "multiset":
         report = verify_multiset_ucycle(word, t)
     else:
@@ -184,8 +189,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     try:
         word, t = load_ucy(args.input)
     except (OSError, UcyFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     if t != 3 or not verify_subset_ucycle(word, 3).ok:
         print("input does not verify as a ucycle on 3-subsets", file=sys.stderr)
         return EXIT_FAILED
@@ -204,6 +208,10 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     n, t = args.n, args.t
+    if n < 1 or t < 1:
+        return _usage_error("--n and --t must be positive")
+    if args.workers is not None and args.workers < 0:
+        return _usage_error("--workers must not be negative")
     budget = _pick_budget(args.budget, DEFAULT_COUNT_BUDGET)
     if not admissible_multiset(n, t):
         print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)
@@ -273,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except InadmissibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,28 +1,42 @@
-"""Backtracking engines: witness search, exhaustive enumeration, counting.
+"""Witness search, the gap-digraph Euler construction, enumeration, counting.
 
-All engines solve the same kind of exact-cover problem: place letters so that
-every window lands on a distinct member of a target key collection and the
-whole collection is consumed.  The cyclic engine covers full cycle words
-(wrap windows included); the linear slot filler covers a gap between two fixed
-flanks and is used by the inductive construction's repair path.
+The backtracking engines solve one kind of exact-cover problem: place letters
+so that every window lands on a distinct member of a target key collection
+and the whole collection is consumed.  The cyclic engine covers full cycle
+words (wrap windows included); the linear slot filler covers a gap between
+two fixed flanks and is used by the inductive construction's repair path.
 
-Search order is deterministic, so identical inputs always yield identical
-outputs and node counts.  Constrained searches (pinned positions or a custom
-coverage target) try children in ascending letter order.  Unconstrained
-searches order children by scarcity of the frontier overlap they would create
-(fewest remaining coverable keys first, ties ascending): the tight spots get
-consumed while escape routes still exist, which is what makes witness search
-tractable at the sizes the doubling pipeline needs.  A node is one attempted
-letter placement; searches stop with an error when the node budget runs out.
+Unconstrained t=3 requests (with 3 not dividing n) first take a fast path
+that builds a shift-symmetric word instead of searching letter by letter.  A
+block w of length (family size)/n is unrolled into n copies w + i*s (mod n);
+the block's cyclic gaps turn each window into an edge of a digraph on Z_n,
+each shift-orbit of 3-sets or 3-multisets into a class of at most 6 such
+edges, and the block into an Euler circuit through one edge per class.  A
+seeded local search picks the edges, Hierholzer's algorithm walks the
+circuit.  This is the Euler-circuit method of Chung, Diaconis and Graham
+(1992) and Jackson (1993).  When the local search finds no block within its
+step allowance (only on the tiniest alphabets), the general witness search
+runs with what is left of the node budget.
+
+Everything is deterministic: identical inputs always yield identical outputs
+and node counts.  Constrained searches (pinned positions or a custom coverage
+target) try children in ascending letter order.  Unconstrained searches order
+children by scarcity of the frontier overlap they would create (fewest
+remaining coverable keys first, ties ascending): the tight spots get consumed
+while escape routes still exist.  A node is one attempted letter placement,
+one candidate swap of the local search or one circuit edge; searches stop
+with an error when the node budget runs out.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
 from .core import CanonicalClass, CycleWord, Letter, MultisetKey, canonicalize
@@ -80,7 +94,6 @@ class _CoverSearch:
         fixed: dict[int, Letter],
         node_budget: int | None,
         relabel_symmetric: bool = False,
-        tie_seed: int | None = None,
         max_discrepancies: int | None = None,
     ):
         self.n = n
@@ -102,9 +115,6 @@ class _CoverSearch:
         self.relabel_symmetric = relabel_symmetric and (
             not fixed or self.ones_prefix
         )
-        # Restart jitter: reshuffles heuristic ties deterministically (used by
-        # the witness portfolio; never by exhaustive enumeration).
-        self.tie_seed = tie_seed
         # Limited discrepancy search: allow at most this many non-first
         # choices along any root-to-leaf path.  ``discrepancy_pruned`` records
         # whether the limit ever cut a branch; if it never did, an exhausted
@@ -230,13 +240,10 @@ class _CoverSearch:
             if cands[d] is None:
                 if chain and p >= t - 1:
                     base = tuple(word[p - t + 2 : p])
-                    seed = self.tie_seed
 
-                    def abundance(x: Letter) -> tuple[int, ...]:
+                    def abundance(x: Letter) -> tuple[int, int]:
                         room = len(bucket.get(tuple(sorted(base + (x,))), ()))
-                        if seed is None:
-                            return -room, x
-                        return -room, hash((seed, p, x)), x
+                        return -room, x
 
                     pool = range(1, cap + 1)
                     if d < m - 1:
@@ -337,6 +344,7 @@ def _witness_search(
     node_budget: int | None,
     symmetric: bool,
     describe: str,
+    spent: int = 0,
 ) -> tuple[Letter, ...]:
     """Witness portfolio: discrepancy-limited passes, then an open pass.
 
@@ -344,10 +352,9 @@ def _witness_search(
     than sinking the whole budget into one depth-first dive, run passes that
     allow 0, 1, 2, ... deviations from the heuristic-first choice.  A pass
     that exhausts without ever hitting its discrepancy limit proves
-    infeasibility outright.  The total node count across passes never exceeds
-    ``node_budget``.
+    infeasibility outright.  The total node count across passes, plus the
+    ``spent`` nodes of an earlier fast path, never exceeds ``node_budget``.
     """
-    spent = 0
     passes: list[int | None] = [0, 1, 2, 3, 4, None]
     for max_disc in passes:
         if node_budget is not None:
@@ -377,124 +384,217 @@ def _witness_search(
     raise SearchInfeasible(describe)
 
 
-def _triple_orbit_key(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
-    # Orbit of the 3-set {a,b,c} (0-based residues) under x -> x+1 mod n,
-    # keyed by the least rotation of its circular gap vector.
-    x, y, z = sorted((a, b, c))
-    g = (y - x, z - y, n - (z - x))
-    return min(g, (g[1], g[2], g[0]), (g[2], g[0], g[1]))
+# Fixed seed of the Euler fast path's local search: identical inputs always
+# walk the same sequence of swaps and yield the same word.
+_EULER_SEED = 20260815
+# Step allowance per shift class before the fast path gives up.
+_EULER_STEPS_PER_CLASS = 40
+# Steps without a new lowest imbalance before restarting from a fresh pick.
+_EULER_PLATEAU = 1000
+# A class just swapped stays frozen for this many steps, so the search cannot
+# undo its last move at once.
+_EULER_TABU = 3
+# Chance of taking a random helpful swap instead of a best one.
+_EULER_NOISE = 0.05
+# Classes re-picked at random when a balanced pick is rejected.
+_EULER_KICK = 2
 
 
-def _shift_block3(
-    n: int, node_budget: int | None, distinct: bool
-) -> tuple[Letter, ...] | None:
-    """Shift-symmetric witness search for window size 3, 3 not dividing n.
+def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
+    """Shift classes of 3-sets (or 3-multisets) of Z_n as gap-digraph edges.
 
-    With 3 not dividing n, every window orbit under x -> x+1 (mod n) has
-    size exactly n (``distinct`` picks 3-sets or 3-multisets), so a block of
-    length L = (family size)/n whose L windows (two of them across the seam
-    to the +1-shifted next copy) cover each orbit once unrolls to a full
-    ucycle as n shifted copies.  Letter frequencies balance automatically.
-
-    Children are ordered by abundance of the frontier gap they create (ties
-    ascending), with discrepancy-limited passes as in the general portfolio.
-    Returns 1-based letters, or None when no such block exists.
+    The ordered window (x, y, z) is the edge (y - x, z - y) of a digraph on
+    Z_n; its class is the shift-orbit of {x, y, z}, whose orderings give at
+    most 6 edges.  Every edge belongs to exactly one class.
     """
-    total = math.comb(n, 3) if distinct else math.comb(n + 2, 3)
-    L = total // n
+    seen: set[tuple[int, int]] = set()
+    classes: list[tuple[tuple[int, int], ...]] = []
+    for g1 in range(n):
+        for g2 in range(n):
+            if (g1, g2) in seen:
+                continue
+            if distinct and (g1 == 0 or g2 == 0 or (g1 + g2) % n == 0):
+                continue
+            edges: list[tuple[int, int]] = []
+            for x, y, z in permutations((0, g1, (g1 + g2) % n)):
+                e = ((y - x) % n, (z - y) % n)
+                if e not in edges:
+                    edges.append(e)
+            seen.update(edges)
+            classes.append(tuple(edges))
+    return classes
+
+
+def _weakly_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+    nbr: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    live = [v for v in range(n) if nbr[v]]
+    seen = {live[0]}
+    stack = [live[0]]
+    while stack:
+        for u in nbr[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(live)
+
+
+def _unroll_circuit(n: int, edges: Sequence[tuple[int, int]], s: int) -> tuple[Letter, ...]:
+    """Word of a balanced, connected gap pick whose gaps sum to the unit s.
+
+    Hierholzer's algorithm on an explicit stack walks an Euler circuit; its
+    nodes are the gaps of the block, and n copies shifted by s make the word.
+    """
+    out: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        out[a].append(b)
+    stack = [edges[0][0]]
+    circuit: list[int] = []
+    while stack:
+        v = stack[-1]
+        if out[v]:
+            stack.append(out[v].pop())
+        else:
+            circuit.append(stack.pop())
+    circuit.reverse()
+    block = [0]
+    for g in circuit[: len(edges) - 1]:
+        block.append((block[-1] + g) % n)
+    return tuple((x + i * s) % n + 1 for i in range(n) for x in block)
+
+
+def _swap_edge(
+    classes: list[tuple[tuple[int, int], ...]],
+    pick: list[int],
+    bal: list[int],
+    c: int,
+    i: int,
+) -> None:
+    a, b = classes[c][pick[c]]
+    a2, b2 = classes[c][i]
+    bal[a] -= 1
+    bal[b] += 1
+    bal[a2] += 1
+    bal[b2] -= 1
+    pick[c] = i
+
+
+def _euler_block3(
+    n: int, distinct: bool, node_budget: int | None
+) -> tuple[tuple[Letter, ...] | None, int]:
+    """Shift-symmetric ucycle for window size 3, 3 not dividing n.
+
+    A block w (w_0 = 0) of length L = (family size)/n unrolls to the word
+    (w + i*s) mod n for i = 0..n-1.  With cyclic gaps g_j = w_{j+1} - w_j
+    (the seam gap being w_0 + s - w_{L-1}), window j is the edge
+    (g_j, g_{j+1}) of the gap digraph, so the word is a ucycle exactly when
+    the L gaps trace a closed walk using one edge of every shift class (see
+    ``_gap_classes``) and s = sum of the gaps is a unit mod n.
+
+    The edge per class is picked by a seeded min-conflicts local search: at a
+    random unbalanced node, make the best swap among the classes touching it
+    (with a little noise and a short tabu), restart on a plateau, and accept
+    a balanced pick only when it is connected and its s is a unit.
+    Hierholzer's algorithm then yields the block (``_unroll_circuit``).  A
+    node is one candidate swap evaluated or one circuit edge walked.
+
+    Returns (1-based letters or None, nodes spent); None means the step
+    allowance ran out, which happens on the tiniest alphabets.
+    """
+    classes = _gap_classes(n, distinct)
+    L = len(classes)
     if L < 3:
-        return None
-
-    orbits: set[tuple[int, int, int]] = set()
-    if distinct:
-        for b in range(1, n - 1):
-            for c in range(b + 1, n):
-                orbits.add(_triple_orbit_key(0, b, c, n))
-    else:
-        for b in range(n):
-            for c in range(b, n):
-                orbits.add(_triple_orbit_key(0, b, c, n))
-    # gaps run 0..n: the all-equal multiset orbit keys as (0, 0, n)
-    gap_room_init = [0] * (n + 1)
-    for key in orbits:
-        for g in key:
-            gap_room_init[g] += 1
-
-    spent = 0
-    for max_disc in (0, 1, 2, 4, 8, None):
-        word = [0] * L
-        used: set[tuple[int, int, int]] = set()
-        gap_room = list(gap_room_init)
-        nodes = 0
-        pruned = False
-
-        def place(j: int, disc_left: int | None) -> bool:
-            nonlocal nodes, pruned
-            if j == L:
-                s1 = (word[L - 2], word[L - 1], (word[0] + 1) % n)
-                s2 = (word[L - 1], (word[0] + 1) % n, (word[1] + 1) % n)
-                if distinct:
-                    if s1[0] == s1[1] or s1[1] == s1[2] or s1[0] == s1[2]:
-                        return False
-                    if s2[0] == s2[1] or s2[1] == s2[2] or s2[0] == s2[2]:
-                        return False
-                k1 = _triple_orbit_key(*s1, n)
-                k2 = _triple_orbit_key(*s2, n)
-                return k1 not in used and k2 not in used and k1 != k2
-            prev = word[j - 1]
-            if j >= 2:
-                row = sorted(
-                    range(n),
-                    key=lambda x: (-gap_room[(x - prev) % n], x),
-                )
+        return None, 0
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for c, edges in enumerate(classes):
+        for v in sorted({x for e in edges for x in e}):
+            touching[v].append(c)
+    # int stand-in for "unbudgeted": keeps the hot comparison int-only
+    limit = sys.maxsize if node_budget is None else node_budget
+    rng = random.Random(_EULER_SEED)
+    nodes = steps = 0
+    while steps < _EULER_STEPS_PER_CLASS * L:
+        pick = [rng.randrange(len(e)) for e in classes]
+        moved = [-_EULER_TABU - 1] * L  # step of each class's last swap
+        bal = [0] * n  # out-degree minus in-degree
+        for c, i in enumerate(pick):
+            a, b = classes[c][i]
+            bal[a] += 1
+            bal[b] -= 1
+        cost = best = sum(map(abs, bal))
+        stale = 0
+        while steps < _EULER_STEPS_PER_CLASS * L and stale < _EULER_PLATEAU:
+            steps += 1
+            if cost == 0:
+                chosen = [classes[c][i] for c, i in enumerate(pick)]
+                s = sum(a for a, _ in chosen) % n
+                if math.gcd(s, n) == 1 and _weakly_connected(n, chosen):
+                    nodes += L
+                    if nodes > limit:
+                        raise SearchBudgetExceeded(
+                            f"node budget {node_budget} exhausted", nodes
+                        )
+                    return _unroll_circuit(n, chosen, s), nodes
+                for _ in range(_EULER_KICK):
+                    c = rng.randrange(L)
+                    _swap_edge(classes, pick, bal, c, rng.randrange(len(classes[c])))
+                    moved[c] = steps
+                cost = best = sum(map(abs, bal))
+                stale = 0
+                continue
+            unbalanced = [x for x in range(n) if bal[x]]
+            v = unbalanced[rng.randrange(len(unbalanced))]
+            dv = bal[v]
+            # with a little noise, every helpful swap counts as a best one
+            noisy = rng.random() < _EULER_NOISE
+            best_moves: list[tuple[int, int]] = []
+            best_delta = 9  # above any delta: a swap moves at most 4 units
+            for c in touching[v]:
+                if steps - moved[c] <= _EULER_TABU:
+                    continue
+                a, b = classes[c][pick[c]]
+                for i, (a2, b2) in enumerate(classes[c]):
+                    # only swaps that shrink the imbalance at v (which also
+                    # skips the current edge)
+                    if ((b == v) - (a == v) + (a2 == v) - (b2 == v)) * dv >= 0:
+                        continue
+                    nodes += 1
+                    if nodes > limit:
+                        raise SearchBudgetExceeded(
+                            f"node budget {node_budget} exhausted", nodes
+                        )
+                    if noisy:
+                        best_moves.append((c, i))
+                        continue
+                    touched = {a, b, a2, b2}
+                    before = sum(abs(bal[x]) for x in touched)
+                    bal[a] -= 1
+                    bal[b] += 1
+                    bal[a2] += 1
+                    bal[b2] -= 1
+                    delta = sum(abs(bal[x]) for x in touched) - before
+                    bal[a] += 1
+                    bal[b] -= 1
+                    bal[a2] -= 1
+                    bal[b2] += 1
+                    if delta < best_delta:
+                        best_delta = delta
+                        best_moves = [(c, i)]
+                    elif delta == best_delta:
+                        best_moves.append((c, i))
+            if best_moves:
+                c, i = best_moves[rng.randrange(len(best_moves))]
+                _swap_edge(classes, pick, bal, c, i)
+                moved[c] = steps
+                cost = sum(map(abs, bal))
+            if cost < best:
+                best = cost
+                stale = 0
             else:
-                row = list(range(n))
-            rank = 0
-            for letter in row:
-                if disc_left is not None and rank > disc_left:
-                    pruned = True
-                    return False
-                nodes += 1
-                if node_budget is not None and spent + nodes > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"node budget {node_budget} exhausted", spent + nodes
-                    )
-                word[j] = letter
-                if j < 2:
-                    if place(j + 1, disc_left if disc_left is None else disc_left - rank):
-                        return True
-                    rank += 1
-                    continue
-                a = word[j - 2]
-                if distinct and (letter == a or letter == prev or prev == a):
-                    continue
-                if j < L - 1 and not gap_room[(letter - prev) % n]:
-                    continue
-                key = _triple_orbit_key(a, prev, letter, n)
-                if key not in used:
-                    used.add(key)
-                    for g in key:
-                        gap_room[g] -= 1
-                    child_disc = disc_left if disc_left is None else disc_left - rank
-                    if place(j + 1, child_disc):
-                        return True
-                    for g in key:
-                        gap_room[g] += 1
-                    used.remove(key)
-                    rank += 1
-            return False
-
-        # w0 = 0 loses nothing: shifting all letters maps witnesses onto
-        # witnesses, and every shift class has a representative with w0 = 0.
-        word[0] = 0
-        if place(1, max_disc):
-            return tuple(
-                (word[j] + i) % n + 1 for i in range(n) for j in range(L)
-            )
-        spent += nodes
-        if not pruned:
-            return None
-    return None
+                stale += 1
+    return None, nodes
 
 
 def _fixed_from_constraints(c: SearchConstraints, k: int) -> dict[int, Letter]:
@@ -514,7 +614,12 @@ def _fixed_from_constraints(c: SearchConstraints, k: int) -> dict[int, Letter]:
 def generate_subset_ucycle(
     n: int, t: int, constraints: SearchConstraints | None = None
 ) -> CycleWord:
-    """Depth-first witness search for a ucycle on the t-subsets of [n]."""
+    """A ucycle on the t-subsets of [n].
+
+    Unconstrained t=3 requests take the Euler fast path (``_euler_block3``);
+    everything else, and the tiniest alphabets, run the depth-first witness
+    search.
+    """
     if t not in (2, 3):
         raise ValueError("subset generation supports t in {2, 3}")
     if not admissible_subset(n, t):
@@ -523,15 +628,17 @@ def generate_subset_ucycle(
     target = c.coverage_target if c.coverage_target is not None else _full_subset_target(n, t)
     symmetric = c.coverage_target is None and not c.required_prefix and not c.required_suffix
     letters: tuple[Letter, ...] | None = None
+    spent = 0
     if symmetric and t == 3 and n % 3:
-        # Fast path: shift-symmetric witnesses cover each letter-rotation
-        # orbit once with an n-fold shorter block; fall back to the general
-        # portfolio when none exists in this subclass.
-        letters = _shift_block3(n, c.node_budget, distinct=True)
+        # Fast path: a shift-symmetric word built from an Euler circuit of
+        # the gap digraph; fall back to the general portfolio, with what is
+        # left of the budget, when the local search finds no block.
+        letters, spent = _euler_block3(n, True, c.node_budget)
     if letters is None:
         letters = _witness_search(
             n, t, target, _fixed_from_constraints(c, len(target)), c.node_budget,
             symmetric, f"no {t}-subset ucycle over [{n}] satisfies the constraints",
+            spent=spent,
         )
     word = CycleWord(n, letters)
     if c.coverage_target is None and not verify_subset_ucycle(word, t).ok:
@@ -542,7 +649,12 @@ def generate_subset_ucycle(
 def find_multiset_ucycle(
     n: int, t: int, constraints: SearchConstraints | None = None
 ) -> CycleWord:
-    """Depth-first witness search for a ucycle on the t-multisets of [n]."""
+    """A ucycle on the t-multisets of [n].
+
+    Unconstrained t=3 requests take the Euler fast path (``_euler_block3``);
+    everything else, and the tiniest alphabets, run the depth-first witness
+    search.
+    """
     if t < 1:
         raise ValueError("window size must be positive")
     if not admissible_multiset(n, t):
@@ -564,14 +676,16 @@ def find_multiset_ucycle(
         # front and relabeling costs nothing, so pin the leading run
         fixed = {i: 1 for i in range(min(t, len(target)))}
     letters: tuple[Letter, ...] | None = None
+    spent = 0
     if symmetric and t == 3:
-        # admissibility already forces 3 not to divide n here, so the
-        # shift-symmetric block fast path applies whenever it finds a block
-        letters = _shift_block3(n, c.node_budget, distinct=False)
+        # admissibility already forces 3 not to divide n here, so the Euler
+        # fast path applies whenever its local search finds a block
+        letters, spent = _euler_block3(n, False, c.node_budget)
     if letters is None:
         letters = _witness_search(
             n, t, target, fixed, c.node_budget,
             symmetric, f"no {t}-multiset ucycle over [{n}] satisfies the constraints",
+            spent=spent,
         )
     word = CycleWord(n, letters)
     if c.coverage_target is None and not verify_multiset_ucycle(word, t).ok:

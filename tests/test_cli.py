@@ -95,6 +95,22 @@ class TestGen:
         assert r2.returncode == 0
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--n", "0", "--t", "3"),
+            ("gen", "--n", "3", "--t", "0"),
+            ("count", "--n", "4", "--t", "3", "--workers", "-1"),
+        ],
+    )
+    def test_one_line_error(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 class TestVerify:
     def test_ok(self, base_file):
         r = run_cli("verify", "--input", base_file, "--kind", "multiset")

@@ -1,16 +1,23 @@
-"""Backtracking generation, slot filling, enumeration and counting."""
+"""Backtracking generation, the Euler fast path, slot filling, enumeration
+and counting."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, canonicalize
+from ucycles.doubling import construct_doubling
 from ucycles.inductive import construct_inductive
 from ucycles.searchgen import (
     SearchBudgetExceeded,
     SearchConstraints,
     SearchInfeasible,
+    _euler_block3,
     count_distinct,
     enumerate_ucycles,
     fill_linear_slot,
@@ -75,7 +82,9 @@ class TestSubsetGeneration:
 
 
 class TestMultisetGeneration:
-    @pytest.mark.parametrize("n, t", [(4, 3), (3, 2), (5, 2), (7, 2), (7, 3), (13, 3)])
+    @pytest.mark.parametrize(
+        "n, t", [(4, 3), (3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (13, 3)]
+    )
     def test_output_verifies(self, n, t):
         word = find_multiset_ucycle(n, t)
         assert len(word) == math.comb(n + t - 1, t)
@@ -98,6 +107,65 @@ class TestMultisetGeneration:
         word = find_multiset_ucycle(4, 3, SearchConstraints(required_prefix=(2, 2)))
         assert word.letters[:2] == (2, 2)
         assert verify_multiset_ucycle(word, 3).ok
+
+
+class TestEulerFastPath:
+    @pytest.mark.parametrize("n", [23, 29, 77])
+    def test_multiset_verifies(self, n):
+        word = find_multiset_ucycle(n, 3)
+        assert len(word) == math.comb(n + 2, 3)
+        assert verify_multiset_ucycle(word, 3).ok
+
+    @pytest.mark.parametrize("n", [26, 50])
+    def test_subset_word_feeds_doubling(self, n):
+        word = generate_subset_ucycle(n, 3)
+        assert len(word) == math.comb(n, 3)
+        assert verify_subset_ucycle(word, 3).ok
+        assert verify_multiset_ucycle(construct_doubling(n, word), 3).ok
+
+    def test_cli_gen_77(self, tmp_path):
+        # the recursive block search it replaces hit the recursion limit here
+        out = tmp_path / "w77.ucy"
+        assert cli_main(["gen", "--n", "77", "--t", "3", "--out", str(out)]) == 0
+        assert out.read_text().startswith("77 3\n")
+
+    @pytest.mark.parametrize("distinct, n", [(True, 7), (False, 4)])
+    def test_tiny_alphabets_fall_back(self, distinct, n):
+        # the generation tests above check that the fallback answers these
+        letters, spent = _euler_block3(n, distinct, None)
+        assert letters is None and spent > 0
+
+    def test_fallback_gets_only_the_remaining_budget(self):
+        _, spent = _euler_block3(7, True, None)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            generate_subset_ucycle(7, 3, SearchConstraints(node_budget=spent))
+        assert info.value.nodes == spent
+
+    @pytest.mark.parametrize("distinct, n", [(True, 26), (False, 29)])
+    def test_tiny_budget_raises(self, distinct, n):
+        c = SearchConstraints(node_budget=40)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            if distinct:
+                generate_subset_ucycle(n, 3, c)
+            else:
+                find_multiset_ucycle(n, 3, c)
+        assert info.value.nodes >= 40
+
+    def test_same_word_in_fresh_interpreters(self):
+        code = (
+            "from ucycles.searchgen import generate_subset_ucycle;"
+            "print(generate_subset_ucycle(26, 3).letters)"
+        )
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            r = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert r.returncode == 0, r.stderr
+            outs.append(r.stdout)
+        assert outs[0] == outs[1] == f"{generate_subset_ucycle(26, 3).letters}\n"
 
 
 class TestSlotFilling:
