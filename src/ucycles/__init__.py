@@ -27,7 +27,6 @@ from .doubling import (
 )
 from .inductive import (
     InductionState,
-    RepairFailed,
     base_case,
     build_connector,
     build_filler,
@@ -67,7 +66,6 @@ __all__ = [
     "InductionState",
     "InfeasiblePermutation",
     "PairOccurrenceIndex",
-    "RepairFailed",
     "SearchBudgetExceeded",
     "SearchConstraints",
     "SearchInfeasible",

@@ -1,8 +1,8 @@
 """Inductive construction of 3-multiset universal cycles for n = 3k + 1.
 
-The construction grows a verified cycle word in alphabet steps of three.  A
-state holds two pieces: ``base``, a cycle word over [n-3], and ``extension``,
-a word over [n] such that their concatenation is a universal cycle on the
+The construction grows a cycle word in alphabet steps of three.  A state
+holds two pieces: ``base``, a cycle word over [n-3], and ``extension``, a word
+over [n] such that their concatenation is a universal cycle on the
 3-multisets of [n].  One growth step to alphabet m = n + 3 appends three
 stitched segments to the current cycle:
 
@@ -18,27 +18,21 @@ stitched segments to the current cycle:
 
 Lead-in and lead-out letters of every segment are arranged so the seams and
 the final wraparound contribute precisely the window classes unreachable
-inside the segments.  Every step is verified outright; if the fixed connector
-does not close the books (which happens when m - 6 is odd, since the filler's
-block boundaries then land on different window classes), the step recomputes
-the uncovered classes and searches for a replacement connector over the same
-six letters, recording which path it took.
+inside the segments.  Two connectors are frozen, one per parity of m - 6:
+when it is odd the filler's block boundaries land on different window
+classes, and the second connector (the one a slot search once found at every
+odd step, recorded as ``path=repaired``) closes the books instead.  The
+construction searches nothing; the finished cycle is verified once before it
+is returned.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import CycleWord, Letter, MultisetKey, linear_windows, relabel
-from .searchgen import (
-    DEFAULT_WITNESS_BUDGET,
-    SearchBudgetExceeded,
-    SearchInfeasible,
-    fill_linear_slot,
-)
+from .core import CycleWord, Letter, MultisetKey
 from .verify import InadmissibleError, verify_multiset_ucycle
 
 PATH_PATTERN = "pattern"
@@ -56,9 +50,10 @@ BASE_EXTENSION_7: tuple[Letter, ...] = (
     4, 5, 7, 6,
 )
 
-# The connector word over the six highest letters, written band-relative:
+# The connector words over the six highest letters, written band-relative:
 # 1..3 stand for the old trio n-5, n-4, n-3 and 4..6 for the new trio
-# n-2, n-1, n.  Found by search once; reused verbatim at every even step.
+# n-2, n-1, n.  The first serves every step with n - 6 even, the second
+# every step with n - 6 odd.
 _CONNECTOR_PATTERN: tuple[int, ...] = (
     1, 1, 6, 6, 3,
     1, 5, 5, 2, 2,
@@ -67,15 +62,14 @@ _CONNECTOR_PATTERN: tuple[int, ...] = (
     6, 2, 1, 4, 1,
     4, 6, 2, 6,
 )
-
-
-class RepairFailed(RuntimeError):
-    """A growth step could not be closed even by connector search."""
-
-    def __init__(self, message: str, missing=(), duplicated=()):
-        super().__init__(message)
-        self.missing = tuple(missing)
-        self.duplicated = tuple(duplicated)
+_ODD_CONNECTOR_PATTERN: tuple[int, ...] = (
+    1, 1, 4, 3, 2,
+    6, 1, 3, 5, 3,
+    4, 6, 2, 2, 4,
+    5, 1, 5, 2, 5,
+    2, 6, 6, 3, 3,
+    4, 4, 1, 6,
+)
 
 
 def _require_step_alphabet(n: int) -> None:
@@ -137,12 +131,24 @@ def partition_triples(n: int) -> TriplePartition:
     )
 
 
+def _step_path(n: int) -> str:
+    """Which frozen connector closes the step reaching alphabet ``n``."""
+    return PATH_REPAIRED if (n - 6) % 2 else PATH_PATTERN
+
+
+def _connector_letters(n: int) -> tuple[Letter, ...]:
+    pattern = _ODD_CONNECTOR_PATTERN if _step_path(n) == PATH_REPAIRED else _CONNECTOR_PATTERN
+    return tuple(n - 6 + i for i in pattern)
+
+
 def build_connector(n: int) -> CycleWord:
-    """The fixed 29-letter connector instantiated on [n]'s six highest letters."""
+    """The 29-letter connector for the step to [n], on its six highest letters.
+
+    Steps with n - 6 even take ``_CONNECTOR_PATTERN``, steps with n - 6 odd
+    take ``_ODD_CONNECTOR_PATTERN``.
+    """
     _require_step_alphabet(n)
-    letters = ExtensionLetters(n)
-    six = letters.mid + letters.top
-    return CycleWord(n, tuple(six[i - 1] for i in _CONNECTOR_PATTERN))
+    return CycleWord(n, _connector_letters(n))
 
 
 def _pair_block(p: tuple[Letter, Letter], q: tuple[Letter, Letter], hi: int) -> list[Letter]:
@@ -158,6 +164,21 @@ def _pair_block(p: tuple[Letter, Letter], q: tuple[Letter, Letter], hi: int) -> 
     return out
 
 
+def _filler_letters(n: int) -> list[Letter]:
+    letters = ExtensionLetters(n)
+    m1, m2, m3 = letters.mid
+    h1, h2, h3 = letters.top
+    blocks = [((m2, h2), (m1, h3)), ((m1, h1), (m3, h2)), ((m3, h3), (m2, h1))]
+    hi = n - 6
+    out: list[Letter] = []
+    for p, q in blocks:
+        if hi % 2:
+            p, q = q, p
+        out.extend(_pair_block(p, q, hi))
+    out.append(h2)
+    return out
+
+
 def build_filler(n: int) -> CycleWord:
     """Interleaved filler: three blocks of counter-against-pair alternation.
 
@@ -170,18 +191,21 @@ def build_filler(n: int) -> CycleWord:
     preserves the lead-out the wraparound needs.  Length is always 9n - 47.
     """
     _require_step_alphabet(n)
-    letters = ExtensionLetters(n)
-    m1, m2, m3 = letters.mid
-    h1, h2, h3 = letters.top
-    blocks = [((m2, h2), (m1, h3)), ((m1, h1), (m3, h2)), ((m3, h3), (m2, h1))]
-    hi = n - 6
-    out: list[Letter] = []
-    for p, q in blocks:
-        if hi % 2:
-            p, q = q, p
-        out.extend(_pair_block(p, q, hi))
-    out.append(h2)
-    return CycleWord(n, tuple(out))
+    return CycleWord(n, tuple(_filler_letters(n)))
+
+
+def _next_extension(extension: Sequence[Letter], m: int) -> list[Letter]:
+    """The extension for the step to [m], built from the previous one over [m-3].
+
+    The previous extension's top trio m-5, m-4, m-3 moves onto the new letters
+    m-2, m-1, m (none of which occur in it), then the connector and the
+    filler follow.
+    """
+    lift = {m - 5: m - 2, m - 4: m - 1, m - 3: m}
+    out = [lift.get(x, x) for x in extension]
+    out.extend(_connector_letters(m))
+    out.extend(_filler_letters(m))
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,7 +218,7 @@ class ExtensionRecord:
 
 @dataclass(frozen=True)
 class InductionState:
-    """A verified cycle over [alphabet_size], kept split for the next step.
+    """A cycle over [alphabet_size], kept split for the next step.
 
     ``base.concat(extension)`` is the cycle itself.  ``base`` lives on the
     previous alphabet [n-3] and opens with 1,1,1; ``extension`` lives on [n],
@@ -225,7 +249,7 @@ class InductionState:
 
 
 def base_case() -> InductionState:
-    """The seed state: a verified cycle over [7] split as base + extension."""
+    """The seed state: a cycle over [7] split as base + extension."""
     return InductionState(
         alphabet_size=7,
         base=CycleWord(4, BASE_CYCLE_4),
@@ -233,104 +257,57 @@ def base_case() -> InductionState:
     )
 
 
-def _repair_connector(prefix: CycleWord, filler: CycleWord, m: int, node_budget: int | None) -> CycleWord:
-    """Search a replacement connector for the slot between prefix and filler.
-
-    The prefix (old cycle + relabeled extension) and the filler are fixed, as
-    is the wraparound from the filler's tail to the prefix's head; whatever
-    window classes they leave uncovered must come from the slot, its two seam
-    windows included.  The slot is searched over the six highest letters in
-    ascending order, with per-letter quotas implied by uniform frequency.
-    """
-    universe = set(combinations_with_replacement(range(1, m + 1), 3))
-    fixed: Counter[MultisetKey] = Counter()
-    fixed.update(linear_windows(prefix, 3))
-    fixed.update(linear_windows(filler, 3))
-    seam = filler.letters[-2:] + prefix.letters[:2]
-    fixed.update(tuple(sorted(seam[i : i + 3])) for i in range(2))
-    duplicated = sorted((k, c) for k, c in fixed.items() if c > 1)
-    stray = sorted(k for k in fixed if k not in universe)
-    if duplicated or stray:
-        raise RepairFailed(
-            "fixed segments already collide; no connector can repair the step",
-            duplicated=duplicated or stray,
-        )
-    residual = sorted(universe - set(fixed))
-    per_letter = math.comb(m + 2, 3) // m
-    have = Counter(prefix.letters) + Counter(filler.letters)
-    six = tuple(range(m - 5, m + 1))
-    quota = {letter: per_letter - have[letter] for letter in six}
-    if any(q < 0 for q in quota.values()):
-        raise RepairFailed(
-            "fixed segments overuse a letter; no connector can repair the step",
-            missing=residual,
-        )
-    try:
-        slot = fill_linear_slot(
-            residual,
-            prefix.letters[-2:],
-            filler.letters[:2],
-            six,
-            t=3,
-            letter_budget=quota,
-            node_budget=node_budget,
-        )
-    except (SearchInfeasible, SearchBudgetExceeded) as exc:
-        raise RepairFailed(
-            f"connector search failed: {exc}", missing=residual
-        ) from exc
-    return CycleWord(m, slot)
+def _verified(word: CycleWord) -> CycleWord:
+    if not verify_multiset_ucycle(word, 3).ok:
+        raise AssertionError("internal error: emitted word failed verification")
+    return word
 
 
-def extend(state: InductionState, node_budget: int | None = DEFAULT_WITNESS_BUDGET) -> InductionState:
-    """One growth step: n -> n + 3, verified end to end."""
+def extend(state: InductionState) -> InductionState:
+    """One growth step: n -> n + 3, on a verified state; the result is verified."""
     n = state.alphabet_size
     m = n + 3
     current = state.cycle()
     if not verify_multiset_ucycle(current, 3).ok:
         raise ValueError("induction state does not hold a verified cycle")
-    lifted = relabel(
-        state.extension,
-        {m - 5: m - 2, m - 4: m - 1, m - 3: m},
-        alphabet_size=m,
-    )
-    connector = build_connector(m)
-    filler = build_filler(m)
-    extension = lifted.concat(connector).concat(filler)
-    path = PATH_PATTERN
-    report = verify_multiset_ucycle(current.concat(extension), 3)
-    if not report.ok:
-        connector = _repair_connector(current.concat(lifted), filler, m, node_budget)
-        extension = lifted.concat(connector).concat(filler)
-        report = verify_multiset_ucycle(current.concat(extension), 3)
-        if not report.ok:
-            raise RepairFailed(
-                "repaired step still fails verification",
-                missing=report.missing,
-                duplicated=report.duplicated,
-            )
-        path = PATH_REPAIRED
+    extension = CycleWord(m, tuple(_next_extension(state.extension.letters, m)))
+    _verified(current.concat(extension))
     return InductionState(
         alphabet_size=m,
         base=current,
         extension=extension,
-        provenance=state.provenance + (ExtensionRecord(m, path),),
+        provenance=state.provenance + (ExtensionRecord(m, _step_path(m)),),
     )
 
 
-def run_induction(n: int, node_budget: int | None = DEFAULT_WITNESS_BUDGET) -> InductionState:
-    """Drive the induction from the seed up to alphabet ``n`` (n = 3k+1 >= 7)."""
+def run_induction(n: int) -> InductionState:
+    """Drive the induction from the seed up to alphabet ``n`` (n = 3k+1 >= 7).
+
+    The steps work on plain letter lists; the cycle is verified once, at the
+    end.
+    """
     if n < 7 or n % 3 != 1:
         raise InadmissibleError(
             f"the inductive path covers n = 3k+1 with n >= 7 only, got {n}"
         )
-    state = base_case()
-    while state.alphabet_size < n:
-        state = extend(state, node_budget)
+    letters = list(BASE_CYCLE_4)
+    extension = list(BASE_EXTENSION_7)
+    provenance: list[ExtensionRecord] = []
+    for m in range(10, n + 1, 3):
+        letters.extend(extension)
+        extension = _next_extension(extension, m)
+        provenance.append(ExtensionRecord(m, _step_path(m)))
+    state = InductionState(
+        alphabet_size=n,
+        base=CycleWord(n - 3, tuple(letters)),
+        extension=CycleWord(n, tuple(extension)),
+        provenance=tuple(provenance),
+    )
+    _verified(state.cycle())
     return state
 
 
-def construct_inductive(n: int, node_budget: int | None = DEFAULT_WITNESS_BUDGET) -> CycleWord:
+def construct_inductive(n: int) -> CycleWord:
     """A verified universal cycle on the 3-multisets of [n], for n = 3k+1 >= 4."""
     if n < 4 or n % 3 != 1:
         raise InadmissibleError(
@@ -338,8 +315,8 @@ def construct_inductive(n: int, node_budget: int | None = DEFAULT_WITNESS_BUDGET
             f"use doubling or search for n={n}"
         )
     if n == 4:
-        return CycleWord(4, BASE_CYCLE_4)
-    return run_induction(n, node_budget).cycle()
+        return _verified(CycleWord(4, BASE_CYCLE_4))
+    return run_induction(n).cycle()
 
 
 def provenance_report(state: InductionState) -> str:

@@ -2,9 +2,7 @@
 
 The backtracking engines solve one kind of exact-cover problem: place letters
 so that every window lands on a distinct member of a target key collection
-and the whole collection is consumed.  The cyclic engine covers full cycle
-words (wrap windows included); the linear slot filler covers a gap between
-two fixed flanks and is used by the inductive construction's repair path.
+and the whole collection is consumed, wrap windows included.
 
 Unconstrained t=3 requests (with 3 not dividing n) first take a fast path
 that builds a shift-symmetric word instead of searching letter by letter.  A
@@ -691,74 +689,6 @@ def find_multiset_ucycle(
     if c.coverage_target is None and not verify_multiset_ucycle(word, t).ok:
         raise AssertionError("internal error: emitted word failed verification")
     return word
-
-
-def fill_linear_slot(
-    residual: Sequence[MultisetKey],
-    left_context: Sequence[Letter],
-    right_context: Sequence[Letter],
-    alphabet: Sequence[Letter],
-    t: int = 3,
-    letter_budget: dict[Letter, int] | None = None,
-    node_budget: int | None = DEFAULT_WITNESS_BUDGET,
-) -> tuple[Letter, ...]:
-    """Fill a gap between two fixed flanks so the gap's windows cover ``residual``.
-
-    The flanks contribute t-1 seam windows on each side; together with the
-    interior windows the slot yields exactly ``len(residual)`` windows, so the
-    slot length is forced to ``len(residual) - (t - 1)``.  Children are tried
-    in ascending order of ``alphabet``.
-    """
-    resid = frozenset(residual)
-    if len(resid) != len(residual):
-        raise ValueError("residual holds duplicate keys")
-    length = len(resid) - (t - 1)
-    if length < 1:
-        raise SearchInfeasible("residual too small to fill a slot")
-    if len(left_context) < t - 1 or len(right_context) < t - 1:
-        raise ValueError("contexts must supply at least t-1 letters")
-    left = tuple(left_context[-(t - 1) :])
-    right = tuple(right_context[: t - 1])
-    letters = tuple(sorted(alphabet))
-    used: set[MultisetKey] = set()
-    word: list[Letter] = []
-    counts: Counter[Letter] = Counter()
-    nodes = 0
-
-    def close(tail: tuple[Letter, ...]) -> bool:
-        seq = tail + right
-        keys = [tuple(sorted(seq[i : i + t])) for i in range(t - 1)]
-        if len(set(keys)) != len(keys):
-            return False
-        return all(key in resid and key not in used for key in keys)
-
-    def place(depth: int, tail: tuple[Letter, ...]) -> bool:
-        nonlocal nodes
-        if depth == length:
-            return close(tail)
-        for letter in letters:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceeded(f"node budget {node_budget} exhausted", nodes)
-            if letter_budget is not None and counts[letter] >= letter_budget.get(letter, 0):
-                continue
-            key = tuple(sorted(tail + (letter,)))
-            if key in resid and key not in used:
-                used.add(key)
-                counts[letter] += 1
-                word.append(letter)
-                if place(depth + 1, tail[1:] + (letter,)):
-                    return True
-                word.pop()
-                counts[letter] -= 1
-                used.remove(key)
-        return False
-
-    if not place(0, left):
-        raise SearchInfeasible(
-            f"no slot filling covers the {len(resid)} residual keys"
-        )
-    return tuple(word)
 
 
 @dataclass(frozen=True)

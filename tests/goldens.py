@@ -41,6 +41,21 @@ FILLER_10 = (
 
 ASSEMBLY_10 = BASE_WORD_4 + EXTENSION_7 + EXTENSION_10 + CONNECTOR_10 + FILLER_10
 
+# the other frozen connector, serving the odd steps (n - 6 odd), on the six
+# highest letters 8..13 of the step to [13].
+CONNECTOR_13 = (
+    8, 8, 11, 10, 9, 13, 8, 10, 12, 10, 11, 13, 9, 9, 11, 12, 8, 12, 9, 12,
+    9, 13, 13, 10, 10, 11, 11, 8, 13,
+)
+
+# SHA-256 of the .ucy text (format_ucy(word, 3)) of the inductive words over
+# [40], [70] and [100].
+INDUCTIVE_SHA256 = {
+    40: "51ba1cec220efea1bac1e6e991e4d71a4870b5efa17dc9ab6966871a5fbe808f",
+    70: "711820142c40b67cf377d35c465163499897e0d58c37b598721516784e9a7587",
+    100: "83ee8d57c4899c94e78160086a34329cec9c448e913dd5d424cbc284c72b1e2e",
+}
+
 # 3-subset ucycle over [8]; input of the pair-doubling walkthrough.
 SUBSET3_WORD_8 = (
     1, 2, 3, 5, 7, 8, 3, 6, 7, 8, 2, 4, 5, 8, 3, 4, 5, 7, 1, 2,

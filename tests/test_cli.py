@@ -1,15 +1,21 @@
-"""End-to-end CLI behavior through real subprocesses.
+"""End-to-end CLI behavior through real subprocesses (the property test of
+the exit-code contract calls ``main`` in process).
 
 Exit code contract: 0 success, 1 verification failed or infeasible,
 2 usage error or inadmissible parameters, 3 node budget exhausted.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord
 from ucycles.searchgen import generate_subset_ucycle
 from ucycles.ucyfile import save_ucy
@@ -102,6 +108,8 @@ class TestUsageErrors:
             ("gen", "--n", "0", "--t", "3"),
             ("gen", "--n", "3", "--t", "0"),
             ("count", "--n", "4", "--t", "3", "--workers", "-1"),
+            ("count", "--n", "4", "--t", "3", "--budget", "-1"),
+            ("gen", "--n", "13", "--t", "3", "--method", "search", "--budget", "0"),
         ],
     )
     def test_one_line_error(self, argv):
@@ -109,6 +117,26 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+class TestExitCodeContract:
+    """Any integer argument vector ends in a documented exit code, in process."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        command=st.sampled_from(["gen", "count"]),
+        n=st.integers(-2, 30),
+        t=st.integers(-1, 4),
+        budget=st.integers(-2, 5000),
+    )
+    def test_random_integer_arguments(self, command, n, t, budget):
+        argv = [command, "--n", str(n), "--t", str(t), "--budget", str(budget)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = cli_main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2, 3)
 
 
 class TestVerify:

@@ -1,10 +1,14 @@
 """The three-letters-at-a-time growth of 3-multiset ucycles (n = 3k + 1)."""
 
+import hashlib
 import math
 
 import pytest
 
+import ucycles.inductive
+from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord
+from ucycles.doubling import construct_doubling
 from ucycles.inductive import (
     InductionState,
     base_case,
@@ -16,15 +20,18 @@ from ucycles.inductive import (
     provenance_report,
     run_induction,
 )
+from ucycles.ucyfile import format_ucy
 from ucycles.verify import InadmissibleError, verify_multiset_ucycle
 
 from goldens import (
     ASSEMBLY_10,
     BASE_WORD_4,
     CONNECTOR_10,
+    CONNECTOR_13,
     EXTENSION_7,
     EXTENSION_10,
     FILLER_10,
+    INDUCTIVE_SHA256,
 )
 
 
@@ -49,6 +56,10 @@ class TestSeeds:
 class TestStepPieces:
     def test_connector_10(self):
         assert build_connector(10).letters == CONNECTOR_10
+
+    def test_connector_13_is_the_odd_pattern(self):
+        connector = build_connector(13)
+        assert connector.letters == CONNECTOR_13
 
     def test_filler_10(self):
         assert build_filler(10).letters == FILLER_10
@@ -89,6 +100,13 @@ class TestExtend:
         assert state.extension.letters[-2:] == (n, n - 1)
         assert verify_multiset_ucycle(state.cycle(), 3).ok
 
+    def test_agrees_with_the_driver(self):
+        state = extend(run_induction(13))
+        direct = run_induction(16)
+        assert state.cycle() == direct.cycle()
+        assert state.base == direct.base and state.extension == direct.extension
+        assert state.provenance == direct.provenance
+
     def test_rejects_unverified_state(self):
         fake = InductionState(
             alphabet_size=7,
@@ -123,11 +141,26 @@ class TestDriver:
         assert verify_multiset_ucycle(word, 3).ok
 
     def test_provenance_lines(self):
-        state = run_induction(13)
+        state = run_induction(19)
         report = provenance_report(state)
-        lines = report.strip().splitlines()
-        assert lines[0] == "n=10 path=pattern"
-        assert lines[1].startswith("n=13 path=")
+        assert report == (
+            "n=10 path=pattern\nn=13 path=repaired\n"
+            "n=16 path=pattern\nn=19 path=repaired\n"
+        )
+
+    @pytest.mark.parametrize("n", sorted(INDUCTIVE_SHA256))
+    def test_pinned_word_digests(self, n):
+        payload = format_ucy(construct_inductive(n), 3).encode()
+        assert hashlib.sha256(payload).hexdigest() == INDUCTIVE_SHA256[n]
+
+    def test_a_broken_connector_is_caught_by_the_one_verification(self, monkeypatch, capsys):
+        broken = ucycles.inductive._ODD_CONNECTOR_PATTERN[::-1]
+        monkeypatch.setattr(ucycles.inductive, "_ODD_CONNECTOR_PATTERN", broken)
+        assert run_induction(10).cycle().letters == ASSEMBLY_10
+        with pytest.raises(AssertionError, match="failed verification"):
+            run_induction(13)
+        assert cli_main(["gen", "--n", "13", "--t", "3"]) == 1
+        assert "internal error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [5, 6, 9, 3, 0])
     def test_rejects_off_lattice_alphabets(self, n):
@@ -137,3 +170,15 @@ class TestDriver:
     def test_run_induction_needs_seven_or_more(self):
         with pytest.raises(InadmissibleError):
             run_induction(4)
+
+
+class TestRoutesAgree:
+    """Where both the inductive and the doubling route apply, both words verify."""
+
+    @pytest.mark.parametrize("n", [10, 16, 22, 28])
+    def test_both_routes_verify(self, n):
+        inductive = construct_inductive(n)
+        doubled = construct_doubling(n)
+        assert len(inductive) == len(doubled) == math.comb(n + 2, 3)
+        assert verify_multiset_ucycle(inductive, 3).ok
+        assert verify_multiset_ucycle(doubled, 3).ok

@@ -1,5 +1,4 @@
-"""Backtracking generation, the Euler fast path, slot filling, enumeration
-and counting."""
+"""Backtracking generation, the Euler fast path, enumeration and counting."""
 
 import math
 import os
@@ -12,7 +11,6 @@ import pytest
 from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, canonicalize
 from ucycles.doubling import construct_doubling
-from ucycles.inductive import construct_inductive
 from ucycles.searchgen import (
     SearchBudgetExceeded,
     SearchConstraints,
@@ -20,7 +18,6 @@ from ucycles.searchgen import (
     _euler_block3,
     count_distinct,
     enumerate_ucycles,
-    fill_linear_slot,
     find_multiset_ucycle,
     generate_subset_ucycle,
 )
@@ -166,30 +163,6 @@ class TestEulerFastPath:
             assert r.returncode == 0, r.stderr
             outs.append(r.stdout)
         assert outs[0] == outs[1] == f"{generate_subset_ucycle(26, 3).letters}\n"
-
-
-class TestSlotFilling:
-    def test_restores_a_cut_segment(self):
-        ls = construct_inductive(4).letters
-        residual = [tuple(sorted(ls[p : p + 3])) for p in range(3, 10)]
-        slot = fill_linear_slot(residual, ls[3:5], ls[10:12], range(1, 5), t=3)
-        seq = ls[3:5] + slot + ls[10:12]
-        got = sorted(tuple(sorted(seq[i : i + 3])) for i in range(len(seq) - 2))
-        assert got == sorted(residual)
-
-    def test_letter_budget_respected(self):
-        ls = construct_inductive(4).letters
-        residual = [tuple(sorted(ls[p : p + 3])) for p in range(3, 10)]
-        budget = {x: 5 for x in range(1, 5)}
-        slot = fill_linear_slot(
-            residual, ls[3:5], ls[10:12], range(1, 5), t=3, letter_budget=budget
-        )
-        for x in range(1, 5):
-            assert slot.count(x) <= 5
-
-    def test_impossible_slot_raises(self):
-        with pytest.raises(SearchInfeasible):
-            fill_linear_slot([(1, 1, 1), (2, 2, 2)], (1, 1), (2, 2), (1, 2), t=3)
 
 
 class TestCounting:
