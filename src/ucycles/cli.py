@@ -70,10 +70,11 @@ def _pick_budget(flag_value: int | None, default: int) -> int:
 
 
 def _auto_method(n: int, t: int) -> str:
+    """The construction whose preconditions (n, t) meets, else the search."""
     if t == 3:
-        if n % 3 == 1:
+        if n % 3 == 1 and n >= 4:
             return "inductive"
-        if n % 2 == 0 and n % 3 != 0:
+        if n % 2 == 0 and n % 3 != 0 and n >= 8:
             return "doubling"
     return "search"
 

@@ -3,7 +3,9 @@
 A cycle word is a finite sequence of letters drawn from ``1..alphabet_size``.
 It can be read cyclically (length-t windows wrap past the end, one window per
 position) or linearly (windows stop at the end).  Windows are compared as
-multisets and encoded as sorted tuples.
+multisets and encoded as sorted tuples.  The windows are read off shifted
+copies of the word with ``zip``; for t = 2 and t = 3 each one is put in order
+by compare-and-swap instead of a call to ``sorted``.
 
 A universal cycle for a family of t-multisets is a cycle word whose cyclic
 windows enumerate the family exactly once; this module supplies the raw
@@ -34,9 +36,17 @@ class CycleWord:
             raise ValueError("alphabet_size must be positive")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
-        if len(self.letters) < 1:
+        ls = self.letters
+        if len(ls) < 1:
             raise ValueError("word must contain at least one letter")
-        for x in self.letters:
+        # a long all-int word is checked by passes in C; the loop names the
+        # offending letter, accepts bools and other int subclasses, and is
+        # the quicker check below about a hundred letters
+        if len(ls) > 128 and set(map(type, ls)) == {int}:
+            distinct = set(ls)
+            if min(distinct) >= 1 and max(distinct) <= self.alphabet_size:
+                return
+        for x in ls:
             if not (isinstance(x, int) and 1 <= x <= self.alphabet_size):
                 raise ValueError(f"letter {x!r} out of range 1..{self.alphabet_size}")
 
@@ -66,19 +76,34 @@ def _check_window(word: CycleWord, t: int) -> None:
         raise ValueError("word shorter than window")
 
 
+def _sorted_windows(seq: tuple[Letter, ...], t: int) -> list[MultisetKey]:
+    """Sorted keys of the windows starting at ``0..len(seq) - t``."""
+    shifted = [seq[i:] for i in range(t)]
+    if t == 3:
+        # the six orders of (a, b, c); equal letters keep their order, as in
+        # sorted(), so the keys are identical element for element
+        return [
+            ((a, b, c) if b <= c else (a, c, b) if a <= c else (c, a, b))
+            if a <= b
+            else ((b, a, c) if a <= c else (b, c, a) if b <= c else (c, b, a))
+            for a, b, c in zip(*shifted)
+        ]
+    if t == 2:
+        return [(a, b) if a <= b else (b, a) for a, b in zip(*shifted)]
+    return [tuple(sorted(w)) for w in zip(*shifted)]
+
+
 def cyclic_windows(word: CycleWord, t: int) -> list[MultisetKey]:
     """All length-t windows read cyclically: one per starting position."""
     _check_window(word, t)
     ls = word.letters
-    doubled = ls + ls[: t - 1]
-    return [tuple(sorted(doubled[i : i + t])) for i in range(len(ls))]
+    return _sorted_windows(ls + ls[: t - 1], t)
 
 
 def linear_windows(word: CycleWord, t: int) -> list[MultisetKey]:
     """Length-t windows without wraparound (``len(word) - t + 1`` of them)."""
     _check_window(word, t)
-    ls = word.letters
-    return [tuple(sorted(ls[i : i + t])) for i in range(len(ls) - t + 1)]
+    return _sorted_windows(word.letters, t)
 
 
 def relabel(
@@ -130,11 +155,29 @@ def _least_form(seq: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _longest_run_starts(ls: tuple[Letter, ...]) -> list[int]:
+    """Positions that start a longest cyclic run of equal letters."""
+    k = len(ls)
+    starts = [r for r in range(k) if ls[r] != ls[r - 1]]
+    if not starts:
+        return [0]  # one letter throughout: every rotation is the same word
+    lengths = [b - a for a, b in zip(starts, starts[1:] + [starts[0] + k])]
+    longest = max(lengths)
+    return [a for a, length in zip(starts, lengths) if length == longest]
+
+
 def canonicalize(word: CycleWord) -> CanonicalClass:
-    """Lexicographically least word over all rotations and relabelings."""
+    """Lexicographically least word over all rotations and relabelings.
+
+    The form of a rotation starts with a run of 1s exactly as long as the run
+    of equal letters at that rotation, and a longer leading run gives a
+    smaller form.  So only the rotations that start a longest cyclic run can
+    give the least form; for a universal cycle on t-multisets of [n] these
+    are the n runs of t equal letters, not all of its positions.
+    """
     ls = word.letters
     best: tuple[Letter, ...] | None = None
-    for r in range(len(ls)):
+    for r in _longest_run_starts(ls):
         form = _least_form(ls[r:] + ls[:r])
         if best is None or form < best:
             best = form

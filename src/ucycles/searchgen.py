@@ -768,7 +768,9 @@ def count_distinct(
         return CountResult(n, t, 1, 1, exhausted=True, nodes_visited=0)
     branch_args = [(n, t, first, budget) for first in range(1, n + 1)]
     if workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method starts every worker up front: no more than
+        # there are branches to run
+        with ProcessPoolExecutor(max_workers=min(workers, len(branch_args))) as pool:
             results = list(pool.map(_count_branch, branch_args))
     else:
         results = [_count_branch(a) for a in branch_args]

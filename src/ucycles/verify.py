@@ -7,6 +7,10 @@ letter must then occur equally often; the two ``admissible_*`` predicates
 capture that divisibility.  The verifiers report the full evidence (missing
 keys, duplicated keys, letter frequencies) rather than a bare boolean so that
 callers can print actionable diagnostics.
+
+Whether a word passes is decided by counting its distinct windows; the
+family is walked, and the missing and duplicated keys collected, only for a
+word that fails.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, filterfalse
 
 from .core import CycleWord, MultisetKey, cyclic_windows
 
@@ -94,67 +98,65 @@ def _frequency_table(word: CycleWord) -> dict[int, int]:
     return {letter: counts.get(letter, 0) for letter in range(1, word.alphabet_size + 1)}
 
 
-def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
-    """Check that the cyclic windows cover every t-multiset of [n] once."""
-    if t < 1:
-        raise ValueError("window size must be positive")
-    n = word.alphabet_size
-    expected = math.comb(n + t - 1, t)
-    universe = list(combinations_with_replacement(range(1, n + 1), t))
-    if len(word) < t:
-        return VerificationReport(
-            ok=False,
-            expected_length=expected,
-            actual_length=len(word),
-            missing=tuple(universe),
-            duplicated=(),
-            frequency_table=_frequency_table(word),
-        )
-    counts = Counter(cyclic_windows(word, t))
-    missing = tuple(k for k in universe if k not in counts)
-    duplicated = tuple(sorted((k, c) for k, c in counts.items() if c >= 2))
-    ok = len(word) == expected and not missing and not duplicated
+def _report(
+    word: CycleWord,
+    expected: int,
+    missing: tuple[MultisetKey, ...],
+    duplicated: tuple[tuple[MultisetKey, int], ...],
+) -> VerificationReport:
     return VerificationReport(
-        ok=ok,
+        ok=len(word) == expected and not missing and not duplicated,
         expected_length=expected,
         actual_length=len(word),
         missing=missing,
         duplicated=duplicated,
         frequency_table=_frequency_table(word),
     )
+
+
+def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
+    """Check that the cyclic windows cover every t-multiset of [n] once.
+
+    Every window of a :class:`CycleWord` is a t-multiset of [n], so a word of
+    the expected length with that many distinct windows covers the family
+    exactly once; the family itself is walked only to list what a failing
+    word misses.
+    """
+    if t < 1:
+        raise ValueError("window size must be positive")
+    n = word.alphabet_size
+    expected = math.comb(n + t - 1, t)
+    family = combinations_with_replacement(range(1, n + 1), t)
+    if len(word) < t:
+        return _report(word, expected, tuple(family), ())
+    counts = Counter(cyclic_windows(word, t))
+    if len(word) == expected == len(counts):
+        return _report(word, expected, (), ())
+    missing = tuple(filterfalse(counts.__contains__, family))
+    duplicated = tuple(sorted((k, c) for k, c in counts.items() if c >= 2))
+    return _report(word, expected, missing, duplicated)
 
 
 def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     """Check that the cyclic windows cover every t-subset of [n] once.
 
     Windows must additionally contain t distinct letters; offending windows
-    are reported as duplicates of an invalid class.
+    are reported as duplicates of an invalid class.  As for multisets, a word
+    of length C(n, t) with that many distinct windows, none repeating a
+    letter, passes without a walk of the family.
     """
     if t < 1:
         raise ValueError("window size must be positive")
     n = word.alphabet_size
     expected = math.comb(n, t) if n >= t else 0
-    universe = list(combinations(range(1, n + 1), t))
+    family = combinations(range(1, n + 1), t)
     if len(word) < t:
-        return VerificationReport(
-            ok=False,
-            expected_length=expected,
-            actual_length=len(word),
-            missing=tuple(universe),
-            duplicated=(),
-            frequency_table=_frequency_table(word),
-        )
+        return _report(word, expected, tuple(family), ())
     counts = Counter(cyclic_windows(word, t))
+    if len(word) == expected == len(counts) and all(len(set(k)) == t for k in counts):
+        return _report(word, expected, (), ())
     invalid = {k: c for k, c in counts.items() if len(set(k)) < t}
     valid_dups = {k: c for k, c in counts.items() if len(set(k)) == t and c >= 2}
-    missing = tuple(k for k in universe if k not in counts)
+    missing = tuple(filterfalse(counts.__contains__, family))
     duplicated = tuple(sorted({**invalid, **valid_dups}.items()))
-    ok = len(word) == expected and not missing and not invalid and not valid_dups
-    return VerificationReport(
-        ok=ok,
-        expected_length=expected,
-        actual_length=len(word),
-        missing=missing,
-        duplicated=duplicated,
-        frequency_table=_frequency_table(word),
-    )
+    return _report(word, expected, missing, duplicated)

@@ -13,9 +13,12 @@ from typing import NamedTuple
 
 import pytest
 
+from ucycles.core import CycleWord
 from ucycles.doubling import construct_doubling
 from ucycles.inductive import construct_inductive, run_induction
 from ucycles.searchgen import SearchConstraints, generate_subset_ucycle
+
+from goldens import BASE_WORD_4, SUBSET3_WORD_8
 
 DOUBLING_NS = (8, 10, 14, 16, 20, 22)
 INDUCTIVE_NS = (4, 7, 10, 13, 16, 19, 22, 25, 28, 31)
@@ -81,3 +84,14 @@ def extra_subset_samples() -> Timed:
         for n, pref in EXTRA_PREFIXED
     ]
     return Timed(words, time.perf_counter() - t0)
+
+
+@pytest.fixture(scope="session")
+def known_ucycles():
+    """Verified words: multisets of [4], [13], [16] (t=3) and 3-subsets of [8]."""
+    return [
+        CycleWord(4, BASE_WORD_4),
+        construct_inductive(13),
+        construct_doubling(16),
+        CycleWord(8, SUBSET3_WORD_8),
+    ]

@@ -119,8 +119,16 @@ class TestUsageErrors:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+def _run_in_process(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli_main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
 class TestExitCodeContract:
-    """Any integer argument vector ends in a documented exit code, in process."""
+    """Any argument vector or input file ends in a documented exit code, in process."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -128,15 +136,44 @@ class TestExitCodeContract:
         n=st.integers(-2, 30),
         t=st.integers(-1, 4),
         budget=st.integers(-2, 5000),
+        workers=st.integers(-2, 3),
     )
-    def test_random_integer_arguments(self, command, n, t, budget):
+    def test_random_integer_arguments(self, command, n, t, budget, workers):
         argv = [command, "--n", str(n), "--t", str(t), "--budget", str(budget)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                rc = cli_main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        assert rc in (0, 1, 2, 3)
+        if command == "count":
+            argv += ["--workers", str(workers)]
+        assert _run_in_process(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(-1, 8),
+        t=st.integers(-1, 4),
+        letters=st.lists(st.integers(-1, 9), max_size=30),
+        garbage_at=st.sampled_from([None, None, None, "header", "word", "after"]),
+        kind=st.sampled_from(["multiset", "subset"]),
+    )
+    def test_random_ucy_files(self, tmp_path_factory, n, t, letters, garbage_at, kind):
+        lines = [f"{n} {t}", " ".join(map(str, letters))]
+        if garbage_at == "header":
+            lines[0] += " x"
+        elif garbage_at == "word":
+            lines[1] += " 2.5"
+        elif garbage_at == "after":
+            lines.append("junk")
+        path = tmp_path_factory.mktemp("ucy") / "random.ucy"
+        path.write_text("\n".join(lines) + "\n")
+        assert _run_in_process(["verify", "--input", str(path), "--kind", kind]) in (0, 1, 2)
+
+
+class TestAutoMethod:
+    def test_every_admissible_alphabet_to_64(self):
+        for n in range(4, 65):
+            if n % 3:
+                assert _run_in_process(["gen", "--n", str(n), "--t", "3"]) == 0, n
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_alphabets_are_infeasible(self, n):
+        assert _run_in_process(["gen", "--n", str(n), "--t", "3"]) == 1
 
 
 class TestVerify:

@@ -1,7 +1,7 @@
 """Cycle-word primitives: construction, windows, relabeling, canonical forms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucycles.core import (
@@ -23,6 +23,25 @@ small_words = st.integers(min_value=2, max_value=5).flatmap(
 )
 
 
+def ref_cyclic_windows(letters, t):
+    """The definition: every cyclic slice of length t, sorted."""
+    doubled = letters + letters[: t - 1]
+    return [tuple(sorted(doubled[i : i + t])) for i in range(len(letters))]
+
+
+def ref_linear_windows(letters, t):
+    return [tuple(sorted(letters[i : i + t])) for i in range(len(letters) - t + 1)]
+
+
+def ref_canonical(letters):
+    """The definition: least first-occurrence relabeling over every rotation."""
+    forms = []
+    for r in range(len(letters)):
+        mapping = {}
+        forms.append(tuple(mapping.setdefault(x, len(mapping) + 1) for x in letters[r:] + letters[:r]))
+    return min(forms)
+
+
 class TestCycleWord:
     def test_letters_coerced_to_tuple(self):
         w = CycleWord(3, [1, 2, 3])
@@ -38,6 +57,20 @@ class TestCycleWord:
     def test_rejects_bad_input(self, n, letters):
         with pytest.raises(ValueError):
             CycleWord(n, letters)
+
+    @pytest.mark.parametrize("length", [10, 300])
+    @pytest.mark.parametrize("bad", [1.0, 3.0, "2", 0, 4, -1])
+    def test_rejects_bad_letter_anywhere(self, bad, length):
+        for pos in (0, length // 2, length - 1):
+            letters = [1 + i % 3 for i in range(length)]
+            letters[pos] = bad
+            with pytest.raises(ValueError, match="out of range 1..3"):
+                CycleWord(3, letters)
+
+    @pytest.mark.parametrize("length", [10, 300])
+    def test_accepts_bools_as_ints(self, length):
+        letters = [True] + [1 + i % 3 for i in range(1, length)]
+        assert CycleWord(3, letters).letters == tuple(letters)
 
     def test_rotate(self):
         w = CycleWord(3, (1, 2, 3, 2))
@@ -80,6 +113,30 @@ class TestWindows:
     def test_rejects_word_shorter_than_window(self):
         with pytest.raises(ValueError):
             linear_windows(CycleWord(2, (1, 2)), 3)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_words, st.integers(min_value=1, max_value=5))
+    def test_match_the_sorted_slice_definition(self, nw, t):
+        n, letters = nw
+        letters = tuple(letters)
+        assume(t <= len(letters))
+        w = CycleWord(n, letters)
+        assert cyclic_windows(w, t) == ref_cyclic_windows(letters, t)
+        assert linear_windows(w, t) == ref_linear_windows(letters, t)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_known_ucycles_match_the_definition(self, known_ucycles, t):
+        for w in known_ucycles:
+            assert cyclic_windows(w, t) == ref_cyclic_windows(w.letters, t)
+            assert linear_windows(w, t) == ref_linear_windows(w.letters, t)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_equal_letters_keep_their_order(self, t):
+        # True == 1: the keys hold the same objects in the same places as sorted()
+        letters = (True, 1, 2, 1, True, 3, True)
+        for got, want in zip(cyclic_windows(CycleWord(3, letters), t), ref_cyclic_windows(letters, t)):
+            assert [type(x) for x in got] == [type(x) for x in want]
 
 
 class TestRelabel:
@@ -143,3 +200,20 @@ class TestCanonicalize:
             rep <= canonicalize(w.rotate(r)).representative.letters
             for r in range(len(letters))
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_words)
+    def test_equals_least_form_over_all_rotations(self, nw):
+        n, letters = nw
+        assert canonicalize(CycleWord(n, tuple(letters))).representative.letters == ref_canonical(
+            tuple(letters)
+        )
+
+    def test_known_ucycles(self, known_ucycles):
+        for w in known_ucycles:
+            rep = canonicalize(w).representative
+            assert rep.alphabet_size == w.alphabet_size
+            assert rep.letters == ref_canonical(w.letters)
+
+    def test_constant_word(self):
+        assert canonicalize(CycleWord(3, (2, 2, 2))).representative.letters == (1, 1, 1)

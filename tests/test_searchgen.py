@@ -182,6 +182,32 @@ class TestCounting:
             par.nodes_visited,
         )
 
+    def test_workers_bounded_by_branches(self, monkeypatch):
+        # fork starts every worker of the pool up front, so the pool must not
+        # be larger than the n branches; the stand-in runs them inline
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert 1 <= max_workers <= 4
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        sizes: list[int] = []
+        monkeypatch.setattr("ucycles.searchgen.ProcessPoolExecutor", InlinePool)
+        seq = count_distinct(4, 3)
+        for workers in (3, 64):
+            r = count_distinct(4, 3, workers=workers)
+            assert (r.count_rot_relabel, r.nodes_visited) == (seq.count_rot_relabel, seq.nodes_visited)
+        assert cli_main(["count", "--n", "4", "--t", "3", "--workers", "1000"]) == 0
+        assert sizes == [3, 4, 4]
+
     def test_inadmissible_counts_zero(self):
         r = count_distinct(4, 2)
         assert r.count_rot_relabel == 0 and r.exhausted

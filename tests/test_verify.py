@@ -1,11 +1,16 @@
 """Admissibility predicates and exact-coverage verification."""
 
+import math
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucycles.core import CycleWord, relabel
 from ucycles.verify import (
+    VerificationReport,
     admissible_multiset,
     admissible_subset,
     verify_multiset_ucycle,
@@ -19,6 +24,89 @@ from goldens import (
     SUBSET2_WORD_5,
     SUBSET3_WORD_8,
 )
+
+
+# Reference verifiers: sorted slices for the windows, the whole family walked
+# for every word.  The library decides ``ok`` by counting distinct windows and
+# must report exactly what these do.
+
+
+def _ref_windows(word, t):
+    ls = word.letters
+    doubled = ls + ls[: t - 1]
+    return [tuple(sorted(doubled[i : i + t])) for i in range(len(ls))]
+
+
+def _ref_frequency_table(word):
+    counts = Counter(word.letters)
+    return {letter: counts.get(letter, 0) for letter in range(1, word.alphabet_size + 1)}
+
+
+def ref_verify_multiset(word, t):
+    n = word.alphabet_size
+    expected = math.comb(n + t - 1, t)
+    universe = list(combinations_with_replacement(range(1, n + 1), t))
+    if len(word) < t:
+        return VerificationReport(False, expected, len(word), tuple(universe), (), _ref_frequency_table(word))
+    counts = Counter(_ref_windows(word, t))
+    missing = tuple(k for k in universe if k not in counts)
+    duplicated = tuple(sorted((k, c) for k, c in counts.items() if c >= 2))
+    ok = len(word) == expected and not missing and not duplicated
+    return VerificationReport(ok, expected, len(word), missing, duplicated, _ref_frequency_table(word))
+
+
+def ref_verify_subset(word, t):
+    n = word.alphabet_size
+    expected = math.comb(n, t) if n >= t else 0
+    universe = list(combinations(range(1, n + 1), t))
+    if len(word) < t:
+        return VerificationReport(False, expected, len(word), tuple(universe), (), _ref_frequency_table(word))
+    counts = Counter(_ref_windows(word, t))
+    invalid = {k: c for k, c in counts.items() if len(set(k)) < t}
+    valid_dups = {k: c for k, c in counts.items() if len(set(k)) == t and c >= 2}
+    missing = tuple(k for k in universe if k not in counts)
+    duplicated = tuple(sorted({**invalid, **valid_dups}.items()))
+    ok = len(word) == expected and not missing and not invalid and not valid_dups
+    return VerificationReport(ok, expected, len(word), missing, duplicated, _ref_frequency_table(word))
+
+
+def assert_same_reports(word, t):
+    for got, want in (
+        (verify_multiset_ucycle(word, t), ref_verify_multiset(word, t)),
+        (verify_subset_ucycle(word, t), ref_verify_subset(word, t)),
+    ):
+        assert got == want
+        assert got.as_text() == want.as_text()
+        assert got.as_text(max_items=3) == want.as_text(max_items=3)
+
+
+class TestMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=16),
+            )
+        ),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_small_words(self, nw, t):
+        n, letters = nw
+        assert_same_reports(CycleWord(n, tuple(letters)), t)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_known_ucycles_and_their_breakages(self, known_ucycles, t):
+        for w in known_ucycles:
+            ls = list(w.letters)
+            swapped = ls[:]
+            swapped[0], swapped[7] = swapped[7], swapped[0]
+            for letters in (ls, ls[:-1], ls + ls[:1], swapped, ls[: t - 1] or ls[:1]):
+                assert_same_reports(CycleWord(w.alphabet_size, tuple(letters)), t)
+
+    def test_bool_letters(self):
+        assert_same_reports(CycleWord(4, (True,) + BASE_WORD_4[1:]), 3)
+        assert_same_reports(CycleWord(3, (True, 1, 2, True, 3)), 2)
 
 
 class TestAdmissibility:
@@ -111,6 +199,13 @@ class TestSubsetVerification:
         report = verify_subset_ucycle(CycleWord(4, (1, 2, 2, 4)), 3)
         assert not report.ok
         assert any(len(set(k)) < 3 for k, _ in report.duplicated)
+
+    def test_distinct_windows_that_repeat_a_letter(self):
+        # six distinct windows for the six 2-subsets of [4], three of them not subsets
+        report = verify_subset_ucycle(CycleWord(4, (1, 1, 2, 2, 3, 3)), 2)
+        assert not report.ok
+        assert report.duplicated == (((1, 1), 1), ((2, 2), 1), ((3, 3), 1))
+        assert report.missing == ((1, 4), (2, 4), (3, 4))
 
     def test_multiset_word_fails_subset_check(self):
         assert not verify_subset_ucycle(CycleWord(4, BASE_WORD_4), 3).ok
