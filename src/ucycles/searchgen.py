@@ -103,16 +103,18 @@ class _CoverSearch:
         self.fixed = dict(fixed)
         self.node_budget = node_budget
         # Valid only when the target is closed under letter permutation and
-        # pinning does not break first-occurrence order: either nothing is
-        # pinned, or the pins are a leading run of ones (a rotation anchor).
+        # pinning does not break first-occurrence order: the pins must be a
+        # leading prefix (possibly empty) whose letters already appear in
+        # first-occurrence order, such as a rotation anchor 1..1 or 1..1 2 x.
         # Then some witness introduces letters in first-occurrence order, so
-        # children above max_used+1 can be skipped.
-        self.ones_prefix = bool(fixed) and sorted(fixed) == list(
-            range(len(fixed))
-        ) and set(fixed.values()) == {1}
-        self.relabel_symmetric = relabel_symmetric and (
-            not fixed or self.ones_prefix
+        # children above max_used+1 can be skipped, where max_used starts at
+        # the prefix's largest letter.
+        prefix = [self.fixed.get(i) for i in range(len(self.fixed))]
+        ordered = None not in prefix and all(
+            v <= max(prefix[:i], default=0) + 1 for i, v in enumerate(prefix)
         )
+        self.relabel_symmetric = relabel_symmetric and ordered
+        self.prefix_max = max(prefix, default=0) if ordered else 0
         # Limited discrepancy search: allow at most this many non-first
         # choices along any root-to-leaf path.  ``discrepancy_pruned`` records
         # whether the limit ever cut a branch; if it never did, an exhausted
@@ -223,9 +225,9 @@ class _CoverSearch:
         limit = self.max_discrepancies
         symmetric = self.relabel_symmetric
         budget = self.node_budget
-        # with a pinned anchor run, letter 1 already occurred before any
-        # free position, so first-occurrence order starts above it
-        base_prev = 1 if (symmetric and self.fixed) else 0
+        # the pinned prefix already introduced letters 1..prefix_max before
+        # any free position, so first-occurrence order starts above them
+        base_prev = self.prefix_max
         d = 0
         while d >= 0:
             p = free[d]
@@ -716,22 +718,27 @@ class CountResult:
 
 
 def _anchored_words(
-    n: int, t: int, first_free: Letter | None, node_budget: int | None
+    n: int, t: int, second_free: Letter | None, node_budget: int | None
 ) -> tuple[_CoverSearch, Iterator[tuple[Letter, ...]]]:
-    # Anchoring: every multiset ucycle contains the window {1,..,1} exactly
-    # once, so each rotation class has exactly one representative beginning
-    # with t ones.  Enumerating those enumerates rotation classes bijectively.
+    # Anchoring: every multiset ucycle contains the window {x,..,x} exactly
+    # once for each letter x, so rotating to that run and renaming letters
+    # by first occurrence gives a representative of its rotation+relabeling
+    # class that begins with t ones and introduces letters in order.  The
+    # letter after the run is then 2 (when the word is longer than t + 1),
+    # and the one after that is 1, 2 or 3 (``second_free``).  Enumerating
+    # these words reaches every class at least once; canonicalize dedupes.
     target = _full_multiset_target(n, t)
     fixed = {i: 1 for i in range(t)}
-    if first_free is not None:
-        fixed[t] = first_free
-    search = _CoverSearch(n, t, target, fixed, node_budget)
+    if second_free is not None:
+        fixed[t] = 2
+        fixed[t + 1] = second_free
+    search = _CoverSearch(n, t, target, fixed, node_budget, relabel_symmetric=True)
     return search, search.solutions()
 
 
-def _count_branch(args: tuple[int, int, Letter, int | None]) -> tuple[set[tuple[Letter, ...]], int, bool]:
-    n, t, first, budget = args
-    search, gen = _anchored_words(n, t, first, budget)
+def _count_branch(args: tuple[int, int, Letter | None, int | None]) -> tuple[set[tuple[Letter, ...]], int, bool]:
+    n, t, second, budget = args
+    search, gen = _anchored_words(n, t, second, budget)
     reps: set[tuple[Letter, ...]] = set()
     exhausted = True
     try:
@@ -755,9 +762,13 @@ def count_distinct(
 ) -> CountResult:
     """Count distinct multiset ucycles for (n, t) by exhaustive enumeration.
 
-    The node budget applies to each top-level branch (the letter following
-    the anchored run of ones); results are identical whether the branches run
-    sequentially or across ``workers`` processes.
+    Only anchored words whose letters appear in first-occurrence order are
+    enumerated.  A branch is one choice of the letter two places after the
+    anchored run ``1..1 2`` (1, 2 or 3), so there are at most three; for
+    n = 2 a single branch pins only the run.  The node budget applies to
+    each branch, and a pool of ``workers`` processes starts at most one
+    worker per branch; results are identical whether the branches run
+    sequentially or in parallel.
     """
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
@@ -766,7 +777,9 @@ def count_distinct(
     if n == 1:
         # The single word "1...1" of length 1 covers the lone multiset.
         return CountResult(n, t, 1, 1, exhausted=True, nodes_visited=0)
-    branch_args = [(n, t, first, budget) for first in range(1, n + 1)]
+    # n = 2 words have t + 1 letters, so only the run itself can be pinned
+    seconds = [None] if n == 2 else [1, 2, 3]
+    branch_args = [(n, t, second, budget) for second in seconds]
     if workers:
         # the fork start method starts every worker up front: no more than
         # there are branches to run

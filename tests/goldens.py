@@ -92,3 +92,9 @@ MULTISET2_WORD_5 = (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1, 3, 5, 2, 4)
 # written backtracker reproduces both).
 DISTINCT_CLASSES_4_3 = 2
 DISTINCT_CLASSES_3_2 = 1
+
+# nodes visited by count_distinct, which enumerates only anchored words in
+# first-occurrence order, and by the unsymmetric anchored enumeration it
+# replaced (every letter after the run of ones, no relabeling pruning).
+COUNT_NODES = {(4, 3): 24302, (5, 2): 19565}
+UNSYMMETRIC_COUNT_NODES = {(4, 3): 145812, (5, 2): 469240}

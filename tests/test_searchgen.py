@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import cache
 from itertools import product
 
 import pytest
@@ -15,7 +16,9 @@ from ucycles.searchgen import (
     SearchBudgetExceeded,
     SearchConstraints,
     SearchInfeasible,
+    _CoverSearch,
     _euler_block3,
+    _full_multiset_target,
     count_distinct,
     enumerate_ucycles,
     find_multiset_ucycle,
@@ -27,7 +30,45 @@ from ucycles.verify import (
     verify_subset_ucycle,
 )
 
-from goldens import DISTINCT_CLASSES_3_2, DISTINCT_CLASSES_4_3
+from goldens import (
+    COUNT_NODES,
+    DISTINCT_CLASSES_3_2,
+    DISTINCT_CLASSES_4_3,
+    UNSYMMETRIC_COUNT_NODES,
+)
+
+
+@cache
+def unsymmetric_count(n, t):
+    """Reference count: every anchored word, no relabeling pruning.
+
+    Pins the run of ones and each letter after it in turn, enumerates all
+    completions, then canonicalizes and folds reflections.
+    """
+    target = _full_multiset_target(n, t)
+    reps = set()
+    nodes = 0
+    for first in range(1, n + 1):
+        fixed = {i: 1 for i in range(t)}
+        fixed[t] = first
+        search = _CoverSearch(n, t, target, fixed, None, relabel_symmetric=False)
+        for letters in search.solutions():
+            reps.add(canonicalize(CycleWord(n, letters)).representative.letters)
+        nodes += search.nodes
+    folded = {
+        min(rep, canonicalize(CycleWord(n, rep[::-1])).representative.letters)
+        for rep in reps
+    }
+    return len(reps), len(folded), nodes
+
+
+def first_occurrence_ordered(letters):
+    top = 0
+    for x in letters:
+        if x > top + 1:
+            return False
+        top = max(top, x)
+    return True
 
 
 class TestSubsetGeneration:
@@ -184,10 +225,11 @@ class TestCounting:
 
     def test_workers_bounded_by_branches(self, monkeypatch):
         # fork starts every worker of the pool up front, so the pool must not
-        # be larger than the n branches; the stand-in runs them inline
+        # be larger than the (at most three) branches; the stand-in runs
+        # them inline
         class InlinePool:
             def __init__(self, max_workers):
-                assert 1 <= max_workers <= 4
+                assert 1 <= max_workers <= 3
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -206,7 +248,40 @@ class TestCounting:
             r = count_distinct(4, 3, workers=workers)
             assert (r.count_rot_relabel, r.nodes_visited) == (seq.count_rot_relabel, seq.nodes_visited)
         assert cli_main(["count", "--n", "4", "--t", "3", "--workers", "1000"]) == 0
-        assert sizes == [3, 4, 4]
+        assert sizes == [3, 3, 3]
+
+    @pytest.mark.parametrize(
+        "n, t",
+        [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (3, 2), (5, 2), (4, 3),
+         (3, 4), (3, 5), (3, 7), (2, 3)],
+    )
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_agrees_with_unsymmetric_enumeration(self, n, t, workers):
+        rot, refl, _ = unsymmetric_count(n, t)
+        r = count_distinct(n, t, workers=workers)
+        assert (r.count_rot_relabel, r.count_also_reflect, r.exhausted) == (rot, refl, True)
+
+    @pytest.mark.parametrize("n, t", sorted(COUNT_NODES))
+    def test_symmetry_breaking_saves_nodes(self, n, t):
+        assert unsymmetric_count(n, t)[2] == UNSYMMETRIC_COUNT_NODES[n, t]
+        nodes = count_distinct(n, t).nodes_visited
+        assert nodes == COUNT_NODES[n, t]
+        assert 5 * nodes <= UNSYMMETRIC_COUNT_NODES[n, t]
+
+    def test_small_budget_stays_cheap(self, monkeypatch):
+        # the per-branch set-up walks the whole target, so a tiny budget
+        # must not be paid for once per letter of a large alphabet
+        made = []
+
+        class CountingSearch(_CoverSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("ucycles.searchgen._CoverSearch", CountingSearch)
+        r = count_distinct(30, 4, budget=661)
+        assert not r.exhausted
+        assert 1 <= len(made) <= 3
 
     def test_inadmissible_counts_zero(self):
         r = count_distinct(4, 2)
@@ -226,6 +301,33 @@ class TestCounting:
     def test_reflection_never_increases(self):
         r = count_distinct(4, 3)
         assert r.count_also_reflect <= r.count_rot_relabel
+
+
+class TestRelabelSymmetryGuard:
+    @pytest.mark.parametrize(
+        "fixed",
+        [{0: 1, 1: 3}, {0: 2}, {5: 1}, {4: 2, 5: 1}, {1: 1}],
+        ids=["out-of-order", "starts-above-1", "suffix", "suffix-pair", "not-prefix"],
+    )
+    def test_broken_order_switches_symmetry_off(self, fixed):
+        target = _full_multiset_target(3, 2)
+        on = _CoverSearch(3, 2, target, fixed, None, relabel_symmetric=True)
+        off = _CoverSearch(3, 2, target, fixed, None, relabel_symmetric=False)
+        assert not on.relabel_symmetric
+        assert set(on.solutions()) == set(off.solutions())
+
+    @pytest.mark.parametrize("second", [1, 2, 3])
+    def test_ordered_prefix_keeps_first_occurrence_words(self, second):
+        # the pins of a counting branch: the run of ones, 2, then 1, 2 or 3
+        target = _full_multiset_target(4, 3)
+        fixed = {0: 1, 1: 1, 2: 1, 3: 2, 4: second}
+        on = _CoverSearch(4, 3, target, fixed, None, relabel_symmetric=True)
+        off = _CoverSearch(4, 3, target, fixed, None, relabel_symmetric=False)
+        assert on.relabel_symmetric
+        everything = set(off.solutions())
+        kept = set(on.solutions())
+        assert kept == {w for w in everything if first_occurrence_ordered(w)}
+        assert on.nodes <= off.nodes
 
 
 class TestEnumeration:
