@@ -2,8 +2,8 @@
 
 Subcommands: ``gen`` (construct a verified word), ``verify`` (check a .ucy
 file), ``pairs`` (adjacency report for a 3-subset ucycle), ``count``
-(distinct-class counting).  Machine-readable payloads go to stdout,
-diagnostics to stderr.
+(distinct-class counting; ``--list`` also prints one representative per
+class).  Machine-readable payloads go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success; 1 verification failed or search infeasible; 2 usage
 error or inadmissible parameters; 3 node budget exhausted.  The environment
@@ -29,6 +29,7 @@ from .searchgen import (
     SearchConstraints,
     SearchInfeasible,
     count_distinct,
+    enumerate_ucycles,
     find_multiset_ucycle,
 )
 from .ucyfile import UcyFormatError, format_ucy, load_ucy
@@ -131,7 +132,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 return EXIT_USAGE
             subset_cycle = None
             if args.subset_input:
-                subset_word, subset_t = load_ucy(args.subset_input)
+                try:
+                    subset_word, subset_t = load_ucy(args.subset_input)
+                except OSError as exc:
+                    return _usage_error(str(exc))
                 if subset_t != 3:
                     print("subset input must carry t=3", file=sys.stderr)
                     return EXIT_USAGE
@@ -221,6 +225,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     if not result.exhausted:
         print("budget exhausted before full enumeration", file=sys.stderr)
         return EXIT_BUDGET
+    if args.list:
+        for cls in enumerate_ucycles(n, t):
+            print(" ".join(map(str, cls.representative.letters)))
     return EXIT_OK
 
 
@@ -265,6 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also summarize the reflection-folded count on stderr",
     )
     p_count.add_argument("--workers", type=int, help="parallelize over this many processes")
+    p_count.add_argument(
+        "--list",
+        action="store_true",
+        help="after a full count, print one representative per class",
+    )
     p_count.set_defaults(func=cmd_count)
     return parser
 

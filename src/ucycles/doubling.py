@@ -234,9 +234,9 @@ def construct_doubling(
 ) -> CycleWord:
     """A verified ucycle on the 3-multisets of [n] via pair doubling.
 
-    Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle may be
-    supplied; otherwise one is generated by search.  Either way the input is
-    verified before use.
+    Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle over
+    [n] may be supplied; otherwise one is generated by search.  Either way the
+    input is verified before use.
     """
     if n % 3 == 0:
         raise InadmissibleError(
@@ -252,6 +252,10 @@ def construct_doubling(
     if subset_cycle is None:
         subset_cycle = generate_subset_ucycle(
             n, 3, SearchConstraints(node_budget=node_budget)
+        )
+    elif subset_cycle.alphabet_size != n:
+        raise ValueError(
+            f"supplied word is over [{subset_cycle.alphabet_size}], not [{n}]"
         )
     elif not verify_subset_ucycle(subset_cycle, 3).ok:
         raise ValueError("supplied word does not verify as a ucycle on 3-subsets")

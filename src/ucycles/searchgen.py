@@ -17,13 +17,13 @@ step allowance (only on the tiniest alphabets), the general witness search
 runs with what is left of the node budget.
 
 Everything is deterministic: identical inputs always yield identical outputs
-and node counts.  Constrained searches (pinned positions or a custom coverage
-target) try children in ascending letter order.  Unconstrained searches order
-children by scarcity of the frontier overlap they would create (fewest
-remaining coverable keys first, ties ascending): the tight spots get consumed
-while escape routes still exist.  A node is one attempted letter placement,
-one candidate swap of the local search or one circuit edge; searches stop
-with an error when the node budget runs out.
+and node counts.  Constrained searches (pinned positions) try children in
+ascending letter order.  Unconstrained searches order children by scarcity of
+the frontier overlap they would create (fewest remaining coverable keys
+first, ties ascending): the tight spots get consumed while escape routes
+still exist.  A node is one attempted letter placement, one candidate swap
+of the local search or one circuit edge; searches stop with an error when
+the node budget runs out.
 """
 
 from __future__ import annotations
@@ -64,15 +64,10 @@ class SearchInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConstraints:
-    """Optional constraints for witness searches.
-
-    ``coverage_target`` replaces the full family with an explicit key
-    collection; the word length always equals the target size.
-    """
+    """Optional constraints for witness searches."""
 
     required_prefix: tuple[Letter, ...] = ()
     required_suffix: tuple[Letter, ...] = ()
-    coverage_target: tuple[MultisetKey, ...] | None = None
     node_budget: int = DEFAULT_WITNESS_BUDGET
 
 
@@ -98,8 +93,6 @@ class _CoverSearch:
         self.t = t
         self.k = len(target_keys)
         self.target = frozenset(target_keys)
-        if len(self.target) != self.k:
-            raise ValueError("coverage target holds duplicate keys")
         self.fixed = dict(fixed)
         self.node_budget = node_budget
         # Valid only when the target is closed under letter permutation and
@@ -425,27 +418,15 @@ def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
     return classes
 
 
-def _weakly_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    nbr: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    live = [v for v in range(n) if nbr[v]]
-    seen = {live[0]}
-    stack = [live[0]]
-    while stack:
-        for u in nbr[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(live)
-
-
-def _unroll_circuit(n: int, edges: Sequence[tuple[int, int]], s: int) -> tuple[Letter, ...]:
-    """Word of a balanced, connected gap pick whose gaps sum to the unit s.
+def _unroll_circuit(
+    n: int, edges: Sequence[tuple[int, int]], s: int
+) -> tuple[Letter, ...] | None:
+    """Word of a balanced gap pick whose gaps sum to the unit s, if connected.
 
     Hierholzer's algorithm on an explicit stack walks an Euler circuit; its
     nodes are the gaps of the block, and n copies shifted by s make the word.
+    On a balanced pick the walk from one edge uses every edge exactly when
+    the pick is weakly connected, so a shorter circuit means None.
     """
     out: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
@@ -458,6 +439,8 @@ def _unroll_circuit(n: int, edges: Sequence[tuple[int, int]], s: int) -> tuple[L
             stack.append(out[v].pop())
         else:
             circuit.append(stack.pop())
+    if len(circuit) != len(edges) + 1:
+        return None
     circuit.reverse()
     block = [0]
     for g in circuit[: len(edges) - 1]:
@@ -496,8 +479,8 @@ def _euler_block3(
     The edge per class is picked by a seeded min-conflicts local search: at a
     random unbalanced node, make the best swap among the classes touching it
     (with a little noise and a short tabu), restart on a plateau, and accept
-    a balanced pick only when it is connected and its s is a unit.
-    Hierholzer's algorithm then yields the block (``_unroll_circuit``).  A
+    a balanced pick only when its s is a unit and Hierholzer's algorithm
+    walks all of it (``_unroll_circuit``): the circuit is the block.  A
     node is one candidate swap evaluated or one circuit edge walked.
 
     Returns (1-based letters or None, nodes spent); None means the step
@@ -530,13 +513,14 @@ def _euler_block3(
             if cost == 0:
                 chosen = [classes[c][i] for c, i in enumerate(pick)]
                 s = sum(a for a, _ in chosen) % n
-                if math.gcd(s, n) == 1 and _weakly_connected(n, chosen):
+                letters = _unroll_circuit(n, chosen, s) if math.gcd(s, n) == 1 else None
+                if letters is not None:
                     nodes += L
                     if nodes > limit:
                         raise SearchBudgetExceeded(
                             f"node budget {node_budget} exhausted", nodes
                         )
-                    return _unroll_circuit(n, chosen, s), nodes
+                    return letters, nodes
                 for _ in range(_EULER_KICK):
                     c = rng.randrange(L)
                     _swap_edge(classes, pick, bal, c, rng.randrange(len(classes[c])))
@@ -611,86 +595,74 @@ def _fixed_from_constraints(c: SearchConstraints, k: int) -> dict[int, Letter]:
     return fixed
 
 
-def generate_subset_ucycle(
-    n: int, t: int, constraints: SearchConstraints | None = None
+def _find_ucycle(
+    n: int, t: int, distinct: bool, c: SearchConstraints
 ) -> CycleWord:
-    """A ucycle on the t-subsets of [n].
+    """The body both generators share, for an admissible (n, t).
 
-    Unconstrained t=3 requests take the Euler fast path (``_euler_block3``);
-    everything else, and the tiniest alphabets, run the depth-first witness
-    search.
+    Unconstrained t=3 requests with 3 not dividing n take the Euler fast path
+    (``_euler_block3``); everything else, and the tiniest alphabets, run the
+    witness search with what is left of the budget.  The word is verified
+    once before it is returned.
     """
-    if t not in (2, 3):
-        raise ValueError("subset generation supports t in {2, 3}")
-    if not admissible_subset(n, t):
-        raise InadmissibleError(f"n={n} does not divide C({n},{t}); no subset ucycle exists")
-    c = constraints or SearchConstraints()
-    target = c.coverage_target if c.coverage_target is not None else _full_subset_target(n, t)
-    symmetric = c.coverage_target is None and not c.required_prefix and not c.required_suffix
+    kind = "subset" if distinct else "multiset"
+    target = (_full_subset_target if distinct else _full_multiset_target)(n, t)
+    if len(target) < t:
+        # only multisets over n=1 land here: the would-be cycle is shorter
+        # than the window, so nothing can verify even though n divides the
+        # count
+        raise SearchInfeasible(
+            f"a cycle of length {len(target)} has no windows of size {t}"
+        )
+    fixed = _fixed_from_constraints(c, len(target))
+    symmetric = not c.required_prefix and not c.required_suffix
+    if symmetric and not distinct:
+        # full coverage includes the all-ones window; rotating it to the
+        # front and relabeling costs nothing, so pin the leading run
+        fixed = {i: 1 for i in range(t)}
     letters: tuple[Letter, ...] | None = None
     spent = 0
     if symmetric and t == 3 and n % 3:
         # Fast path: a shift-symmetric word built from an Euler circuit of
         # the gap digraph; fall back to the general portfolio, with what is
         # left of the budget, when the local search finds no block.
-        letters, spent = _euler_block3(n, True, c.node_budget)
+        letters, spent = _euler_block3(n, distinct, c.node_budget)
     if letters is None:
         letters = _witness_search(
-            n, t, target, _fixed_from_constraints(c, len(target)), c.node_budget,
-            symmetric, f"no {t}-subset ucycle over [{n}] satisfies the constraints",
+            n, t, target, fixed, c.node_budget, symmetric,
+            f"no {t}-{kind} ucycle over [{n}] satisfies the constraints",
             spent=spent,
         )
     word = CycleWord(n, letters)
-    if c.coverage_target is None and not verify_subset_ucycle(word, t).ok:
+    # looked up at call time, so a wrapper installed on the module is seen
+    verify = verify_subset_ucycle if distinct else verify_multiset_ucycle
+    if not verify(word, t).ok:
         raise AssertionError("internal error: emitted word failed verification")
     return word
+
+
+def generate_subset_ucycle(
+    n: int, t: int, constraints: SearchConstraints | None = None
+) -> CycleWord:
+    """A ucycle on the t-subsets of [n] (see ``_find_ucycle``)."""
+    if t not in (2, 3):
+        raise ValueError("subset generation supports t in {2, 3}")
+    if not admissible_subset(n, t):
+        raise InadmissibleError(f"n={n} does not divide C({n},{t}); no subset ucycle exists")
+    return _find_ucycle(n, t, True, constraints or SearchConstraints())
 
 
 def find_multiset_ucycle(
     n: int, t: int, constraints: SearchConstraints | None = None
 ) -> CycleWord:
-    """A ucycle on the t-multisets of [n].
-
-    Unconstrained t=3 requests take the Euler fast path (``_euler_block3``);
-    everything else, and the tiniest alphabets, run the depth-first witness
-    search.
-    """
+    """A ucycle on the t-multisets of [n] (see ``_find_ucycle``)."""
     if t < 1:
         raise ValueError("window size must be positive")
     if not admissible_multiset(n, t):
         raise InadmissibleError(
             f"n={n} does not divide C({n + t - 1},{t}); no multiset ucycle exists"
         )
-    c = constraints or SearchConstraints()
-    target = c.coverage_target if c.coverage_target is not None else _full_multiset_target(n, t)
-    if c.coverage_target is None and len(target) < t:
-        # only n=1 lands here: the would-be cycle is shorter than the
-        # window, so nothing can verify even though n divides the count
-        raise SearchInfeasible(
-            f"a cycle of length {len(target)} has no windows of size {t}"
-        )
-    symmetric = c.coverage_target is None and not c.required_prefix and not c.required_suffix
-    fixed = _fixed_from_constraints(c, len(target))
-    if symmetric:
-        # full coverage includes the all-ones window; rotating it to the
-        # front and relabeling costs nothing, so pin the leading run
-        fixed = {i: 1 for i in range(min(t, len(target)))}
-    letters: tuple[Letter, ...] | None = None
-    spent = 0
-    if symmetric and t == 3:
-        # admissibility already forces 3 not to divide n here, so the Euler
-        # fast path applies whenever its local search finds a block
-        letters, spent = _euler_block3(n, False, c.node_budget)
-    if letters is None:
-        letters = _witness_search(
-            n, t, target, fixed, c.node_budget,
-            symmetric, f"no {t}-multiset ucycle over [{n}] satisfies the constraints",
-            spent=spent,
-        )
-    word = CycleWord(n, letters)
-    if c.coverage_target is None and not verify_multiset_ucycle(word, t).ok:
-        raise AssertionError("internal error: emitted word failed verification")
-    return word
+    return _find_ucycle(n, t, False, constraints or SearchConstraints())
 
 
 @dataclass(frozen=True)

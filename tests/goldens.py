@@ -56,6 +56,16 @@ INDUCTIVE_SHA256 = {
     100: "83ee8d57c4899c94e78160086a34329cec9c448e913dd5d424cbc284c72b1e2e",
 }
 
+# SHA-256 of the .ucy text (format_ucy(word, 3)) of the Euler fast path's
+# words: 3-multisets of [23], [29], [77] and 3-subsets of [26], [50].
+EULER_SHA256 = {
+    ("multiset", 23): "6b17384f5162869da958ae1ff55b11feb40fb082e7d19ca4bc7a0372cd1246f9",
+    ("multiset", 29): "382a4fdbc96b1bf8f9f086ecdbacec3deed0c394c1beb1cbd3985c5249df0bd6",
+    ("multiset", 77): "8a5595ea511f4cbd31115d2c49ccfc5b8e1d22ff905cac39ece1296dacc1a9db",
+    ("subset", 26): "04816ad0e2cb2e64fbc444b576008eb8a9a7e21d4ca39c9b60d84f577d8411e2",
+    ("subset", 50): "35b84059eec9b47c2b952560c325b784323b80d9cb8cb2dcbd5bbb4d9454a2bc",
+}
+
 # 3-subset ucycle over [8]; input of the pair-doubling walkthrough.
 SUBSET3_WORD_8 = (
     1, 2, 3, 5, 7, 8, 3, 6, 7, 8, 2, 4, 5, 8, 3, 4, 5, 7, 1, 2,

@@ -110,10 +110,24 @@ class TestUsageErrors:
             ("count", "--n", "4", "--t", "3", "--workers", "-1"),
             ("count", "--n", "4", "--t", "3", "--budget", "-1"),
             ("gen", "--n", "13", "--t", "3", "--method", "search", "--budget", "0"),
+            (
+                "gen", "--n", "8", "--t", "3", "--method", "doubling",
+                "--subset-input", "/nonexistent/x.ucy",
+            ),
         ],
     )
     def test_one_line_error(self, argv):
         r = run_cli(*argv)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+    def test_subset_input_over_another_alphabet(self, subset_file):
+        # subset_file holds a word over [8]
+        r = run_cli(
+            "gen", "--n", "10", "--t", "3", "--method", "doubling",
+            "--subset-input", subset_file,
+        )
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
@@ -233,6 +247,20 @@ class TestCount:
         r = run_cli("count", "--n", "5", "--t", "3", "--budget", "1000")
         assert r.returncode == 3
         assert "false" in r.stdout.split()
+
+    def test_list(self):
+        r = run_cli("count", "--n", "4", "--t", "3", "--list")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            "4 3 2 2 true 24302",
+            "1 1 1 2 2 2 3 1 3 1 4 2 4 2 3 3 3 4 4 4",
+            "1 1 1 2 2 2 3 1 3 1 4 4 4 3 3 3 2 4 2 4",
+        ]
+
+    def test_list_needs_a_full_count(self):
+        r = run_cli("count", "--n", "5", "--t", "3", "--budget", "1000", "--list")
+        assert r.returncode == 3
+        assert len(r.stdout.splitlines()) == 1
 
     def test_reflect_flag(self):
         r = run_cli("count", "--n", "3", "--t", "2", "--reflect")

@@ -172,6 +172,10 @@ class TestConstructDoubling:
         with pytest.raises(ValueError):
             construct_doubling(4)
 
+    def test_rejects_subset_cycle_over_another_alphabet(self, x8):
+        with pytest.raises(ValueError, match=r"over \[8\], not \[10\]"):
+            construct_doubling(10, x8)
+
     def test_rejects_bogus_subset_cycle(self):
         with pytest.raises(ValueError):
             construct_doubling(8, CycleWord(8, tuple(range(1, 9))))

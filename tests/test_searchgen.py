@@ -1,5 +1,6 @@
 """Backtracking generation, the Euler fast path, enumeration and counting."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -19,11 +20,13 @@ from ucycles.searchgen import (
     _CoverSearch,
     _euler_block3,
     _full_multiset_target,
+    _unroll_circuit,
     count_distinct,
     enumerate_ucycles,
     find_multiset_ucycle,
     generate_subset_ucycle,
 )
+from ucycles.ucyfile import format_ucy
 from ucycles.verify import (
     InadmissibleError,
     verify_multiset_ucycle,
@@ -34,8 +37,13 @@ from goldens import (
     COUNT_NODES,
     DISTINCT_CLASSES_3_2,
     DISTINCT_CLASSES_4_3,
+    EULER_SHA256,
     UNSYMMETRIC_COUNT_NODES,
 )
+
+
+def ucy_sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @cache
@@ -153,19 +161,29 @@ class TestEulerFastPath:
         word = find_multiset_ucycle(n, 3)
         assert len(word) == math.comb(n + 2, 3)
         assert verify_multiset_ucycle(word, 3).ok
+        assert ucy_sha256(format_ucy(word, 3)) == EULER_SHA256["multiset", n]
 
     @pytest.mark.parametrize("n", [26, 50])
     def test_subset_word_feeds_doubling(self, n):
         word = generate_subset_ucycle(n, 3)
         assert len(word) == math.comb(n, 3)
         assert verify_subset_ucycle(word, 3).ok
+        assert ucy_sha256(format_ucy(word, 3)) == EULER_SHA256["subset", n]
         assert verify_multiset_ucycle(construct_doubling(n, word), 3).ok
 
     def test_cli_gen_77(self, tmp_path):
         # the recursive block search it replaces hit the recursion limit here
         out = tmp_path / "w77.ucy"
         assert cli_main(["gen", "--n", "77", "--t", "3", "--out", str(out)]) == 0
-        assert out.read_text().startswith("77 3\n")
+        assert ucy_sha256(out.read_text()) == EULER_SHA256["multiset", 77]
+
+    def test_circuit_must_use_every_edge(self):
+        # both picks are balanced; the first splits into two components
+        assert _unroll_circuit(5, [(1, 2), (2, 1), (3, 4), (4, 3)], 1) is None
+        # block (0, 1), unrolled as five copies shifted by 3 (mod 5)
+        assert _unroll_circuit(5, [(1, 2), (2, 1)], 3) == (
+            1, 2, 4, 5, 2, 3, 5, 1, 3, 4,
+        )
 
     @pytest.mark.parametrize("distinct, n", [(True, 7), (False, 4)])
     def test_tiny_alphabets_fall_back(self, distinct, n):
