@@ -48,6 +48,9 @@ class DoublingError(RuntimeError):
         super().__init__(message)
         self.report = report
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.report)
+
 
 def double_letters_2(subset_cycle: CycleWord) -> CycleWord:
     """Upgrade a 2-subset ucycle to a 2-multiset one.

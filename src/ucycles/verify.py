@@ -8,9 +8,14 @@ capture that divisibility.  The verifiers report the full evidence (missing
 keys, duplicated keys, letter frequencies) rather than a bare boolean so that
 callers can print actionable diagnostics.
 
-Whether a word passes is decided by counting its distinct windows; the
-family is walked, and the missing and duplicated keys collected, only for a
-word that fails.
+Whether a word passes is decided from its distinct windows alone: a word of
+the family's size with that many distinct windows, all members of the
+family, covers it exactly once, and a word of any other length fails before
+a window is read.  The evidence is deferred: a verifier's report computes
+``missing``, ``duplicated`` and ``frequency_table`` from the word when one is
+first read and keeps it (a passing word's ``missing`` and ``duplicated`` are
+empty from the start), so a caller that reads only ``ok`` pays for the
+windows and nothing more.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, filterfalse
+from itertools import combinations, combinations_with_replacement, filterfalse, islice
 
 from .core import CycleWord, MultisetKey, cyclic_windows
 
@@ -58,6 +63,14 @@ class VerificationReport:
     presence forces ``ok`` to be false.  ``frequency_table`` counts every
     letter of the alphabet, including absent ones, and sums to
     ``actual_length``.
+
+    A report built by a verifier decides ``ok`` from the word's distinct
+    windows and defers ``missing``, ``duplicated`` and ``frequency_table``:
+    each is computed from the word and ``t`` on first access and then kept,
+    so a second access returns the same object.  A passing word's
+    ``missing`` and ``duplicated`` are ``()`` from the start.  Either kind of
+    report compares equal field by field to one constructed from its six
+    values.
     """
 
     ok: bool
@@ -67,21 +80,65 @@ class VerificationReport:
     duplicated: tuple[tuple[MultisetKey, int], ...]
     frequency_table: dict[int, int]
 
+    @classmethod
+    def _deferred(cls, ok: bool, expected: int, word: CycleWord, t: int, distinct: bool) -> VerificationReport:
+        """A verifier's report, its evidence left unset until read (see ``__getattr__``)."""
+        report = object.__new__(cls)
+        put = object.__setattr__
+        put(report, "ok", ok)
+        put(report, "expected_length", expected)
+        put(report, "actual_length", len(word))
+        put(report, "_source", (word, t, distinct))
+        if ok:
+            put(report, "missing", ())
+            put(report, "duplicated", ())
+        return report
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an attribute that is not set, which on a
+        # verifier's report is a deferred field not yet read.
+        if name == "frequency_table":
+            object.__setattr__(self, name, _frequency_table(self._source[0]))
+        elif name in ("missing", "duplicated"):
+            self._detail(None)
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+    def _detail(self, limit: int | None) -> tuple[int, tuple[MultisetKey, ...]]:
+        """The missing count and the first ``limit`` missing keys (all when None).
+
+        Keeps ``duplicated``, and ``missing`` too when the keys found are all
+        of them.
+        """
+        word, t, distinct = self._source
+        count, missing, duplicated = _coverage_detail(word, t, distinct, self.expected_length, limit)
+        kept = self.__dict__
+        kept.setdefault("duplicated", duplicated)
+        if len(missing) == count:
+            kept.setdefault("missing", missing)
+        return count, missing
+
     def as_text(self, max_items: int | None = None) -> str:
+        if "missing" not in self.__dict__ and max_items is not None and max_items >= 0:
+            # count the missing keys and walk the family only as far as shown
+            missing_count, shown = self._detail(max_items)
+        else:
+            missing_count, shown = len(self.missing), self.missing[:max_items]
+        duplicated = self.duplicated
         lines = [
             f"ok: {'true' if self.ok else 'false'}",
             f"expected_length: {self.expected_length}",
             f"actual_length: {self.actual_length}",
-            f"missing_count: {len(self.missing)}",
-            f"duplicated_count: {len(self.duplicated)}",
+            f"missing_count: {missing_count}",
+            f"duplicated_count: {len(duplicated)}",
         ]
-        if self.missing:
-            shown = self.missing if max_items is None else self.missing[:max_items]
-            tail = "" if len(shown) == len(self.missing) else f" (+{len(self.missing) - len(shown)} more)"
+        if missing_count:
+            tail = "" if len(shown) == missing_count else f" (+{missing_count - len(shown)} more)"
             lines.append("missing: " + " ".join(_format_key(k) for k in shown) + tail)
-        if self.duplicated:
-            shown_d = self.duplicated if max_items is None else self.duplicated[:max_items]
-            tail = "" if len(shown_d) == len(self.duplicated) else f" (+{len(self.duplicated) - len(shown_d)} more)"
+        if duplicated:
+            shown_d = duplicated if max_items is None else duplicated[:max_items]
+            tail = "" if len(shown_d) == len(duplicated) else f" (+{len(duplicated) - len(shown_d)} more)"
             lines.append(
                 "duplicated: "
                 + " ".join(f"{_format_key(k)}x{c}" for k, c in shown_d)
@@ -98,20 +155,27 @@ def _frequency_table(word: CycleWord) -> dict[int, int]:
     return {letter: counts.get(letter, 0) for letter in range(1, word.alphabet_size + 1)}
 
 
-def _report(
-    word: CycleWord,
-    expected: int,
-    missing: tuple[MultisetKey, ...],
-    duplicated: tuple[tuple[MultisetKey, int], ...],
-) -> VerificationReport:
-    return VerificationReport(
-        ok=len(word) == expected and not missing and not duplicated,
-        expected_length=expected,
-        actual_length=len(word),
-        missing=missing,
-        duplicated=duplicated,
-        frequency_table=_frequency_table(word),
-    )
+def _coverage_detail(
+    word: CycleWord, t: int, distinct: bool, expected: int, limit: int | None
+) -> tuple[int, tuple[MultisetKey, ...], tuple[tuple[MultisetKey, int], ...]]:
+    """Missing count, the first ``limit`` missing keys (all when None), duplicated keys.
+
+    The count is arithmetic: every window is a t-multiset of [n], and in
+    subset mode every window without a repeated letter is a t-subset, so the
+    family members hit are the distinct windows less the invalid ones.  The
+    family is walked in order only until ``limit`` keys are found.
+    """
+    n = word.alphabet_size
+    counts = Counter(cyclic_windows(word, t)) if len(word) >= t else Counter()
+    if distinct:
+        family = combinations(range(1, n + 1), t)
+        invalid = {k for k in counts if len(set(k)) < t}
+    else:
+        family = combinations_with_replacement(range(1, n + 1), t)
+        invalid = set()
+    duplicated = tuple(sorted((k, c) for k, c in counts.items() if c >= 2 or k in invalid))
+    missing = tuple(islice(filterfalse(counts.__contains__, family), limit))
+    return expected - len(counts) + len(invalid), missing, duplicated
 
 
 def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
@@ -119,22 +183,14 @@ def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
 
     Every window of a :class:`CycleWord` is a t-multiset of [n], so a word of
     the expected length with that many distinct windows covers the family
-    exactly once; the family itself is walked only to list what a failing
-    word misses.
+    exactly once.  A word of another length fails without reading a window;
+    the family is walked only when a failing report's keys are read.
     """
     if t < 1:
         raise ValueError("window size must be positive")
-    n = word.alphabet_size
-    expected = math.comb(n + t - 1, t)
-    family = combinations_with_replacement(range(1, n + 1), t)
-    if len(word) < t:
-        return _report(word, expected, tuple(family), ())
-    counts = Counter(cyclic_windows(word, t))
-    if len(word) == expected == len(counts):
-        return _report(word, expected, (), ())
-    missing = tuple(filterfalse(counts.__contains__, family))
-    duplicated = tuple(sorted((k, c) for k, c in counts.items() if c >= 2))
-    return _report(word, expected, missing, duplicated)
+    expected = math.comb(word.alphabet_size + t - 1, t)
+    ok = t <= len(word) == expected and len(dict.fromkeys(cyclic_windows(word, t))) == expected
+    return VerificationReport._deferred(ok, expected, word, t, False)
 
 
 def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
@@ -149,14 +205,8 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
         raise ValueError("window size must be positive")
     n = word.alphabet_size
     expected = math.comb(n, t) if n >= t else 0
-    family = combinations(range(1, n + 1), t)
-    if len(word) < t:
-        return _report(word, expected, tuple(family), ())
-    counts = Counter(cyclic_windows(word, t))
-    if len(word) == expected == len(counts) and all(len(set(k)) == t for k in counts):
-        return _report(word, expected, (), ())
-    invalid = {k: c for k, c in counts.items() if len(set(k)) < t}
-    valid_dups = {k: c for k, c in counts.items() if len(set(k)) == t and c >= 2}
-    missing = tuple(filterfalse(counts.__contains__, family))
-    duplicated = tuple(sorted({**invalid, **valid_dups}.items()))
-    return _report(word, expected, missing, duplicated)
+    ok = False
+    if t <= len(word) == expected:
+        keys = dict.fromkeys(cyclic_windows(word, t))
+        ok = len(keys) == expected and all(len(set(k)) == t for k in keys)
+    return VerificationReport._deferred(ok, expected, word, t, True)

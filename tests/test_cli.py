@@ -7,9 +7,11 @@ Exit code contract: 0 success, 1 verification failed or infeasible,
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -180,8 +182,8 @@ class TestExitCodeContract:
 
 
 class TestAutoMethod:
-    def test_every_admissible_alphabet_to_64(self):
-        for n in range(4, 65):
+    def test_every_admissible_alphabet_to_100(self):
+        for n in range(4, 101):
             if n % 3:
                 assert _run_in_process(["gen", "--n", str(n), "--t", "3"]) == 0, n
 
@@ -209,6 +211,24 @@ class TestVerify:
         assert r.returncode == 1
         assert "missing_count: " in r.stdout
         assert "missing_count: 0" not in r.stdout
+
+    def test_huge_family_over_a_short_word(self, tmp_path):
+        # C(20002, 3) ~ 1.3e12 multisets: the report counts the missing ones
+        # and walks the family only for the keys it prints
+        huge = tmp_path / "huge.ucy"
+        huge.write_text("20000 3\n1 2 3\n")
+        argv = ["verify", "--input", str(huge), "--kind", "multiset"]
+        r = subprocess.run(
+            [sys.executable, "-m", "ucycles", *argv], capture_output=True, text=True, timeout=30
+        )
+        assert r.returncode == 1
+        assert f"missing_count: {math.comb(20002, 3) - 1}" in r.stdout
+        assert "missing: {1,1,1} {1,1,2} " in r.stdout
+        assert f"(+{math.comb(20002, 3) - 51} more)" in r.stdout
+        # the same command in process, without interpreter start-up
+        start = time.perf_counter()
+        assert _run_in_process(argv) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.ucy"

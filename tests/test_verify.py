@@ -1,14 +1,18 @@
 """Admissibility predicates and exact-coverage verification."""
 
+import dataclasses
 import math
+import pickle
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucycles.core import CycleWord, relabel
+from ucycles.doubling import DoublingError
 from ucycles.verify import (
     VerificationReport,
     admissible_multiset,
@@ -107,6 +111,120 @@ class TestMatchesReference:
     def test_bool_letters(self):
         assert_same_reports(CycleWord(4, (True,) + BASE_WORD_4[1:]), 3)
         assert_same_reports(CycleWord(3, (True, 1, 2, True, 3)), 2)
+
+
+FIELDS = ("ok", "expected_length", "actual_length", "missing", "duplicated", "frequency_table")
+
+# a passing word, a failing word of the right length, a word shorter than t=3
+VALUE_CASES = [
+    pytest.param(BASE_WORD_4, id="passing"),
+    pytest.param((BASE_WORD_4[5],) + BASE_WORD_4[1:5] + (BASE_WORD_4[0],) + BASE_WORD_4[6:], id="failing"),
+    pytest.param((1, 2), id="too-short"),
+]
+
+VERIFIERS = [
+    pytest.param(verify_multiset_ucycle, ref_verify_multiset, id="multiset"),
+    pytest.param(verify_subset_ucycle, ref_verify_subset, id="subset"),
+]
+
+
+class TestValueSemantics:
+    """A verifier's report defers its evidence but behaves as a plain value."""
+
+    @pytest.mark.parametrize("verify, reference", VERIFIERS)
+    @pytest.mark.parametrize("letters", VALUE_CASES)
+    def test_equals_a_constructed_report_both_ways(self, verify, reference, letters):
+        word = CycleWord(4, letters)
+        constructed = reference(word, 3)
+        assert verify(word, 3) == constructed
+        assert constructed == verify(word, 3)
+        assert not verify(word, 3) != constructed
+        assert not constructed != verify(word, 3)
+
+    def test_passing_and_failing_words(self):
+        passing = verify_multiset_ucycle(CycleWord(4, BASE_WORD_4), 3)
+        assert passing == VerificationReport(True, 20, 20, (), (), {1: 5, 2: 5, 3: 5, 4: 5})
+        short = verify_multiset_ucycle(CycleWord(4, (1, 2)), 3)
+        assert VerificationReport(
+            ok=False,
+            expected_length=20,
+            actual_length=2,
+            missing=tuple(combinations_with_replacement(range(1, 5), 3)),
+            duplicated=(),
+            frequency_table={1: 1, 2: 1, 3: 0, 4: 0},
+        ) == short
+        assert short != passing
+        assert passing == mock.ANY and passing != object()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("letters", VALUE_CASES)
+    def test_fields_are_immutable(self, field, letters):
+        word = CycleWord(4, letters)
+        for report in (verify_multiset_ucycle(word, 3), ref_verify_multiset(word, 3)):
+            before = getattr(report, field)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, field, before)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(report, field)
+            assert getattr(report, field) is before
+
+    @pytest.mark.parametrize("verify, reference", VERIFIERS)
+    @pytest.mark.parametrize("letters", VALUE_CASES)
+    def test_pickle_round_trip(self, verify, reference, letters):
+        word = CycleWord(4, letters)
+        assert pickle.loads(pickle.dumps(verify(word, 3))) == reference(word, 3)
+        error = pickle.loads(pickle.dumps(DoublingError("does not close", verify(word, 3))))
+        assert isinstance(error, DoublingError)
+        assert str(error) == "does not close"
+        assert error.report == reference(word, 3)
+
+    @pytest.mark.parametrize("field", ["missing", "duplicated", "frequency_table"])
+    @pytest.mark.parametrize("letters", VALUE_CASES)
+    def test_deferred_field_is_kept(self, field, letters):
+        report = verify_multiset_ucycle(CycleWord(4, letters), 3)
+        assert getattr(report, field) is getattr(report, field)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=16),
+            )
+        ),
+        st.integers(min_value=1, max_value=4),
+        st.permutations(["missing", "duplicated", "frequency_table", "text", "short text"]),
+    )
+    def test_any_order_of_reads(self, nw, t, order):
+        # text first walks the family only as far as it shows; duplicated
+        # first does not walk it at all
+        n, letters = nw
+        word = CycleWord(n, tuple(letters))
+        for verify, reference in ((verify_multiset_ucycle, ref_verify_multiset), (verify_subset_ucycle, ref_verify_subset)):
+            got, want = verify(word, t), reference(word, t)
+            for read in order:
+                if read == "text":
+                    assert got.as_text() == want.as_text()
+                elif read == "short text":
+                    assert got.as_text(max_items=3) == want.as_text(max_items=3)
+                else:
+                    assert getattr(got, read) == getattr(want, read)
+            assert got == want
+
+    @pytest.mark.parametrize("letters", VALUE_CASES)
+    def test_dataclass_helpers_see_every_field(self, letters):
+        word = CycleWord(4, letters)
+        report, want = verify_multiset_ucycle(word, 3), ref_verify_multiset(word, 3)
+        assert [f.name for f in dataclasses.fields(report)] == list(FIELDS)
+        assert dataclasses.asdict(report) == dataclasses.asdict(want)
+        assert dataclasses.replace(report) == want
+
+    def test_repr_names_every_field(self):
+        report = verify_multiset_ucycle(CycleWord(4, BASE_WORD_4), 3)
+        assert repr(report) == (
+            "VerificationReport(ok=True, expected_length=20, actual_length=20, "
+            "missing=(), duplicated=(), frequency_table={1: 5, 2: 5, 3: 5, 4: 5})"
+        )
 
 
 class TestAdmissibility:
@@ -219,6 +337,16 @@ class TestReportText:
         assert "missing_count: 219" in text
         assert "(+214 more)" in text
         assert "duplicated: {1,2,3}x3" in text
+
+    @pytest.mark.parametrize("verify, kind_size", [(verify_multiset_ucycle, math.comb(20002, 3)), (verify_subset_ucycle, math.comb(20000, 3))])
+    def test_huge_family_is_counted_not_walked(self, verify, kind_size):
+        # one distinct window {1,2,3} against a family of about 1.3e12 keys
+        report = verify(CycleWord(20000, (1, 2, 3)), 3)
+        text = report.as_text(max_items=5)
+        assert f"missing_count: {kind_size - 1}" in text
+        assert f"(+{kind_size - 6} more)" in text
+        assert "duplicated: {1,2,3}x3" in text
+        assert report.duplicated == (((1, 2, 3), 3),)
 
     def test_full_text_round_trip_fields(self):
         report = verify_multiset_ucycle(CycleWord(4, BASE_WORD_4), 3)
