@@ -5,11 +5,12 @@ file), ``pairs`` (adjacency report for a 3-subset ucycle), ``count``
 (distinct-class counting; ``--list`` also prints one representative per
 class).  Machine-readable payloads go to stdout, diagnostics to stderr.
 
-Exit codes: 0 success; 1 verification failed or search infeasible; 2 usage
-error or inadmissible parameters; 3 node budget exhausted.  The environment
-variable ``UCYCLE_BUDGET`` overrides the default node budget when ``--budget``
-is absent.  A budget bounds only the search-backed routes; the inductive
-construction searches nothing.
+Exit codes: 0 success; 1 verification failed or search infeasible, or the
+reader of stdout closed it before the output was written (the command then
+stops without a traceback); 2 usage error or inadmissible parameters; 3 node
+budget exhausted.  The environment variable ``UCYCLE_BUDGET`` overrides the
+default node budget when ``--budget`` is absent.  A budget bounds only the
+search-backed routes; the inductive construction searches nothing.
 """
 
 from __future__ import annotations
@@ -285,9 +286,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # output shorter than the buffer meets a closed pipe here, not at exit
+        sys.stdout.flush()
+        return code
     except InadmissibleError as exc:
         return _usage_error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout before the output was written; point the
+        # descriptor at the null device so the flush at shutdown is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

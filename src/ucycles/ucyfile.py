@@ -37,7 +37,7 @@ def parse_ucy(text: str) -> tuple[CycleWord, int]:
     if t < 1:
         raise UcyFormatError("window size t must be positive")
     try:
-        letters = tuple(int(tok) for tok in lines[1].split())
+        letters = tuple(map(int, lines[1].split()))
     except ValueError as exc:
         raise UcyFormatError("word line must hold integers only") from exc
     for extra in lines[2:]:

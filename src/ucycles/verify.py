@@ -8,14 +8,24 @@ capture that divisibility.  The verifiers report the full evidence (missing
 keys, duplicated keys, letter frequencies) rather than a bare boolean so that
 callers can print actionable diagnostics.
 
-Whether a word passes is decided from its distinct windows alone: a word of
-the family's size with that many distinct windows, all members of the
-family, covers it exactly once, and a word of any other length fails before
-a window is read.  The evidence is deferred: a verifier's report computes
-``missing``, ``duplicated`` and ``frequency_table`` from the word when one is
-first read and keeps it (a passing word's ``missing`` and ``duplicated`` are
-empty from the start), so a caller that reads only ``ok`` pays for the
-windows and nothing more.
+Whether a word passes is decided in three steps, cheapest first:
+
+1. its length: a word of any other length than the family's size fails;
+2. its first letter's count: in a ucycle every letter occurs (family
+   size)/n times, because each occurrence lies in t windows and, by
+   symmetry, each letter fills t·(family size)/n of the window slots, so a
+   word whose first letter occurs another number of times fails (when n
+   does not divide the family size no count matches, and indeed no ucycle
+   exists); one ``tuple.count`` is a fraction of the cost of the windows,
+   and it rejects most random words of the right length;
+3. its distinct windows: a word of the family's size with that many
+   distinct windows, all members of the family, covers it exactly once.
+
+The first two steps read no window.  The evidence is deferred: a verifier's
+report computes ``missing``, ``duplicated`` and ``frequency_table`` from the
+word when one is first read and keeps it (a passing word's ``missing`` and
+``duplicated`` are empty from the start), so a caller that reads only ``ok``
+pays for these steps and nothing more.
 """
 
 from __future__ import annotations
@@ -64,13 +74,13 @@ class VerificationReport:
     letter of the alphabet, including absent ones, and sums to
     ``actual_length``.
 
-    A report built by a verifier decides ``ok`` from the word's distinct
-    windows and defers ``missing``, ``duplicated`` and ``frequency_table``:
-    each is computed from the word and ``t`` on first access and then kept,
-    so a second access returns the same object.  A passing word's
-    ``missing`` and ``duplicated`` are ``()`` from the start.  Either kind of
-    report compares equal field by field to one constructed from its six
-    values.
+    A report built by a verifier decides ``ok`` from the word's length, its
+    first letter's count and its distinct windows, and defers ``missing``,
+    ``duplicated`` and ``frequency_table``: each is computed from the word
+    and ``t`` on first access and then kept, so a second access returns the
+    same object.  A passing word's ``missing`` and ``duplicated`` are ``()``
+    from the start.  Either kind of report compares equal field by field to
+    one constructed from its six values.
     """
 
     ok: bool
@@ -84,14 +94,15 @@ class VerificationReport:
     def _deferred(cls, ok: bool, expected: int, word: CycleWord, t: int, distinct: bool) -> VerificationReport:
         """A verifier's report, its evidence left unset until read (see ``__getattr__``)."""
         report = object.__new__(cls)
-        put = object.__setattr__
-        put(report, "ok", ok)
-        put(report, "expected_length", expected)
-        put(report, "actual_length", len(word))
-        put(report, "_source", (word, t, distinct))
+        # straight into the instance dict: the frozen __setattr__ is bypassed
+        # at a fraction of the cost of object.__setattr__
+        fields = report.__dict__
+        fields["ok"] = ok
+        fields["expected_length"] = expected
+        fields["actual_length"] = len(word)
+        fields["_source"] = (word, t, distinct)
         if ok:
-            put(report, "missing", ())
-            put(report, "duplicated", ())
+            fields["missing"] = fields["duplicated"] = ()
         return report
 
     def __getattr__(self, name: str):
@@ -181,15 +192,24 @@ def _coverage_detail(
 def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     """Check that the cyclic windows cover every t-multiset of [n] once.
 
-    Every window of a :class:`CycleWord` is a t-multiset of [n], so a word of
-    the expected length with that many distinct windows covers the family
-    exactly once.  A word of another length fails without reading a window;
-    the family is walked only when a failing report's keys are read.
+    The decision runs in three steps, each cheaper than the next.  A word of
+    another length than C(n+t-1, t) fails at once.  A word whose first
+    letter does not occur C(n+t-1, t)/n times fails next, still without a
+    window read: every letter of a ucycle occurs that often.  Otherwise,
+    since every window of a :class:`CycleWord` is a t-multiset of [n], the
+    word passes when it has that many distinct windows.  The family is
+    walked only when a failing report's keys are read.
     """
     if t < 1:
         raise ValueError("window size must be positive")
-    expected = math.comb(word.alphabet_size + t - 1, t)
-    ok = t <= len(word) == expected and len(dict.fromkeys(cyclic_windows(word, t))) == expected
+    n = word.alphabet_size
+    expected = math.comb(n + t - 1, t)
+    letters = word.letters
+    ok = (
+        t <= len(letters) == expected
+        and letters.count(letters[0]) * n == expected
+        and len(dict.fromkeys(cyclic_windows(word, t))) == expected
+    )
     return VerificationReport._deferred(ok, expected, word, t, False)
 
 
@@ -197,16 +217,18 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     """Check that the cyclic windows cover every t-subset of [n] once.
 
     Windows must additionally contain t distinct letters; offending windows
-    are reported as duplicates of an invalid class.  As for multisets, a word
-    of length C(n, t) with that many distinct windows, none repeating a
-    letter, passes without a walk of the family.
+    are reported as duplicates of an invalid class.  The decision runs in
+    the same order as for multisets: the length C(n, t), then the first
+    letter's count C(n, t)/n, then a word with that many distinct windows,
+    none repeating a letter, passes without a walk of the family.
     """
     if t < 1:
         raise ValueError("window size must be positive")
     n = word.alphabet_size
     expected = math.comb(n, t) if n >= t else 0
+    letters = word.letters
     ok = False
-    if t <= len(word) == expected:
+    if t <= len(letters) == expected and letters.count(letters[0]) * n == expected:
         keys = dict.fromkeys(cyclic_windows(word, t))
         ok = len(keys) == expected and all(len(set(k)) == t for k in keys)
     return VerificationReport._deferred(ok, expected, word, t, True)

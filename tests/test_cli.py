@@ -238,6 +238,28 @@ class TestVerify:
     def test_missing_file(self):
         assert run_cli("verify", "--input", "/nonexistent.ucy", "--kind", "subset").returncode == 2
 
+    def test_reader_closes_the_pipe_early(self, tmp_path):
+        # the report's frequency line alone (20 000 letters) outgrows a pipe
+        # buffer, so the command is still writing when the reader leaves
+        huge = tmp_path / "huge.ucy"
+        huge.write_text("20000 3\n1 2 3\n")
+        err = tmp_path / "stderr.txt"
+        with open(err, "wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ucycles", "verify", "--input", str(huge), "--kind", "subset"],
+                stdout=subprocess.PIPE,
+                stderr=err_file,
+            )
+            try:
+                assert proc.stdout.read(100).startswith(b"kind: subset")
+                proc.stdout.close()
+                assert proc.wait(timeout=30) == 1
+            finally:
+                proc.kill()
+        stderr = err.read_text()
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
 
 class TestPairs:
     def test_report(self, subset_file):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucycles.core import CycleWord, relabel
+from ucycles.core import CycleWord, cyclic_windows, relabel
 from ucycles.doubling import DoublingError
 from ucycles.verify import (
     VerificationReport,
@@ -31,8 +31,9 @@ from goldens import (
 
 
 # Reference verifiers: sorted slices for the windows, the whole family walked
-# for every word.  The library decides ``ok`` by counting distinct windows and
-# must report exactly what these do.
+# for every word.  The library decides ``ok`` from the length, the first
+# letter's count and the distinct windows, and must report exactly what these
+# do.
 
 
 def _ref_windows(word, t):
@@ -327,6 +328,95 @@ class TestSubsetVerification:
 
     def test_multiset_word_fails_subset_check(self):
         assert not verify_subset_ucycle(CycleWord(4, BASE_WORD_4), 3).ok
+
+
+def _own_verifier(word, t):
+    """The verifier whose family has as many members as the word has letters."""
+    if word.alphabet_size >= t and len(word) == math.comb(word.alphabet_size, t):
+        return verify_subset_ucycle
+    return verify_multiset_ucycle
+
+
+def _reads_windows(verify, word, t):
+    """Whether deciding ``ok`` read the word's windows."""
+    with mock.patch("ucycles.verify.cyclic_windows", wraps=cyclic_windows) as spy:
+        verify(word, t)
+    return spy.called
+
+
+class TestLetterCountStep:
+    """After the length and before the windows, the first letter's count decides.
+
+    Every letter of a ucycle occurs (family size)/n times, so a word of the
+    family's length whose first letter occurs any other number of times
+    fails without a window read.  The reports match the reference anyway.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(index=st.integers(min_value=0, max_value=3), rnd=st.randoms(use_true_random=False))
+    def test_shuffled_ucycles_reach_the_windows(self, known_ucycles, index, rnd):
+        # a shuffle keeps the length and every letter's count
+        known = known_ucycles[index]
+        letters = list(known.letters)
+        rnd.shuffle(letters)
+        word = CycleWord(known.alphabet_size, tuple(letters))
+        assert_same_reports(word, 3)
+        assert _reads_windows(_own_verifier(known, 3), word, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(index=st.integers(min_value=0, max_value=3), rnd=st.randoms(use_true_random=False))
+    def test_first_letter_off_by_one_reads_no_window(self, known_ucycles, index, rnd):
+        known = known_ucycles[index]
+        n = known.alphabet_size
+        letters = list(known.letters)
+        rnd.shuffle(letters)
+        # change one letter so that the (new) first letter gains or loses one
+        i = rnd.randrange(len(letters))
+        old = letters[i]
+        if i == 0 or old == letters[0]:
+            letters[i] = rnd.choice([x for x in range(1, n + 1) if x != old])
+        else:
+            letters[i] = letters[0]
+        assert abs(letters.count(letters[0]) - len(letters) // n) == 1
+        word = CycleWord(n, tuple(letters))
+        assert_same_reports(word, 3)
+        verify = _own_verifier(known, 3)
+        assert not verify(word, 3).ok
+        assert not _reads_windows(verify, word, 3)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_another_letter_miscounted_reaches_the_windows(self, known_ucycles, index):
+        known = known_ucycles[index]
+        letters = list(known.letters)
+        first = letters[0]
+        # turn one occurrence of a second letter into a third: the first
+        # letter's count stays right, those two are off by one
+        i = next(i for i, x in enumerate(letters) if x != first)
+        letters[i] = next(x for x in range(1, known.alphabet_size + 1) if x not in (first, letters[i]))
+        word = CycleWord(known.alphabet_size, tuple(letters))
+        assert_same_reports(word, 3)
+        verify = _own_verifier(known, 3)
+        assert not verify(word, 3).ok
+        assert _reads_windows(verify, word, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(3, 10, verify_multiset_ucycle), (6, 20, verify_subset_ucycle)]).flatmap(
+            lambda case: st.tuples(
+                st.just(case),
+                st.lists(st.integers(min_value=1, max_value=case[0]), min_size=case[1], max_size=case[1]),
+            )
+        )
+    )
+    def test_inadmissible_family_length(self, case_letters):
+        # C(5, 3) = 10 multisets of [3] and C(6, 3) = 20 subsets of [6]:
+        # n divides neither, so no letter count matches and no ucycle exists
+        (n, length, verify), letters = case_letters
+        word = CycleWord(n, tuple(letters))
+        assert len(word) == verify(word, 3).expected_length == length
+        assert_same_reports(word, 3)
+        assert not verify(word, 3).ok
+        assert not _reads_windows(verify, word, 3)
 
 
 class TestReportText:
