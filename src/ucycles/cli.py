@@ -30,7 +30,6 @@ from .searchgen import (
     SearchConstraints,
     SearchInfeasible,
     count_distinct,
-    enumerate_ucycles,
     find_multiset_ucycle,
 )
 from .ucyfile import UcyFormatError, format_ucy, load_ucy
@@ -227,8 +226,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         print("budget exhausted before full enumeration", file=sys.stderr)
         return EXIT_BUDGET
     if args.list:
-        for cls in enumerate_ucycles(n, t):
-            print(" ".join(map(str, cls.representative.letters)))
+        for letters in result.representatives:
+            print(" ".join(map(str, letters)))
     return EXIT_OK
 
 

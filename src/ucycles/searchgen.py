@@ -16,14 +16,18 @@ circuit.  This is the Euler-circuit method of Chung, Diaconis and Graham
 step allowance (only on the tiniest alphabets), the general witness search
 runs with what is left of the node budget.
 
+The witness search is one depth-first pass that tries letters in ascending
+order.  It prunes only by the pinned positions, by each letter's total count
+(forced by the target) and, when the only pins are an anchor at the front
+(unpinned requests and counting branches), by first-occurrence order of the
+letters.  For t=2 a ucycle is an Euler circuit
+of the complete graph on [n] (with loops for multisets), and the ascending
+pass finds one at once.
+
 Everything is deterministic: identical inputs always yield identical outputs
-and node counts.  Constrained searches (pinned positions) try children in
-ascending letter order.  Unconstrained searches order children by scarcity of
-the frontier overlap they would create (fewest remaining coverable keys
-first, ties ascending): the tight spots get consumed while escape routes
-still exist.  A node is one attempted letter placement, one candidate swap
-of the local search or one circuit edge; searches stop with an error when
-the node budget runs out.
+and node counts.  A node is one attempted letter placement, one candidate
+swap of the local search or one circuit edge; searches stop with an error
+when the node budget runs out.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
@@ -87,7 +91,6 @@ class _CoverSearch:
         fixed: dict[int, Letter],
         node_budget: int | None,
         relabel_symmetric: bool = False,
-        max_discrepancies: int | None = None,
     ):
         self.n = n
         self.t = t
@@ -108,12 +111,6 @@ class _CoverSearch:
         )
         self.relabel_symmetric = relabel_symmetric and ordered
         self.prefix_max = max(prefix, default=0) if ordered else 0
-        # Limited discrepancy search: allow at most this many non-first
-        # choices along any root-to-leaf path.  ``discrepancy_pruned`` records
-        # whether the limit ever cut a branch; if it never did, an exhausted
-        # search proved infeasibility outright.
-        self.max_discrepancies = max_discrepancies
-        self.discrepancy_pruned = False
         self.nodes = 0
 
     def solutions(self) -> Iterator[tuple[Letter, ...]]:
@@ -165,57 +162,10 @@ class _CoverSearch:
             yield tuple(word)
             return
 
-        # Chain feasibility (only with an uninterrupted frontier, i.e. no
-        # pinned positions): consecutive windows share t-1 characters, so the
-        # keys still to be covered must form one connected component under
-        # "shares a (t-1)-sub-multiset", reachable from the frontier's last
-        # t-1 letters, and the wrap seam's head letters must still have an
-        # uncovered key.  Checked by bucket BFS; fired adaptively so a pure
-        # greedy descent pays nothing.
-        chain = not self.fixed and k >= t and t >= 2
-        if chain:
-            key_subs: dict[MultisetKey, tuple[MultisetKey, ...]] = {}
-            bucket: defaultdict[MultisetKey, set[MultisetKey]] = defaultdict(set)
-            for key in target:
-                subs = tuple(
-                    sorted({tuple(key[:i] + key[i + 1 :]) for i in range(t)})
-                )
-                key_subs[key] = subs
-                for s in subs:
-                    bucket[s].add(key)
-
-            def chain_ok(p_pos: int) -> bool:
-                rem = k - len(used)
-                if rem == 0 or p_pos < t - 1:
-                    return True
-                front = tuple(sorted(word[p_pos - t + 2 : p_pos + 1]))
-                back = tuple(sorted(word[0 : t - 1]))
-                fb = bucket.get(front)
-                if not fb or not bucket.get(back):
-                    return False
-                start = next(iter(fb))
-                seen_keys = {start}
-                seen_subs: set[MultisetKey] = set()
-                stack = [start]
-                while stack:
-                    cur = stack.pop()
-                    for s in key_subs[cur]:
-                        if s in seen_subs:
-                            continue
-                        seen_subs.add(s)
-                        for other in bucket[s]:
-                            if other not in seen_keys:
-                                seen_keys.add(other)
-                                stack.append(other)
-                return len(seen_keys) == rem
-
         m = len(free)
-        choice = [0] * m
-        cands: list[tuple[Letter, ...] | None] = [None] * m
+        nxt = [1] * m  # next letter to try at each depth
         added: list[list[MultisetKey]] = [[] for _ in range(m)]
         maxu = [0] * m
-        disc = [0] * m
-        limit = self.max_discrepancies
         symmetric = self.relabel_symmetric
         budget = self.node_budget
         # the pinned prefix already introduced letters 1..prefix_max before
@@ -230,34 +180,7 @@ class _CoverSearch:
             else:
                 prev = 0
                 cap = n
-            if cands[d] is None:
-                if chain and p >= t - 1:
-                    base = tuple(word[p - t + 2 : p])
-
-                    def abundance(x: Letter) -> tuple[int, int]:
-                        room = len(bucket.get(tuple(sorted(base + (x,))), ()))
-                        return -room, x
-
-                    pool = range(1, cap + 1)
-                    if d < m - 1:
-                        # A frontier overlap with no coverable key left cannot
-                        # be extended; skip it unless this is the last slot.
-                        pool = [
-                            x for x in pool
-                            if bucket.get(tuple(sorted(base + (x,))))
-                        ]
-                    cands[d] = tuple(sorted(pool, key=abundance))
-                else:
-                    cands[d] = tuple(range(1, cap + 1))
-            row = cands[d]
-            idx = choice[d]
-            cum_prev = disc[d - 1] if d else 0
-            placed = False
-            while idx < len(row):
-                if limit is not None and cum_prev + (1 if idx else 0) > limit:
-                    self.discrepancy_pruned = True
-                    break
-                letter = row[idx]
+            for letter in range(nxt[d], cap + 1):
                 self.nodes += 1
                 if budget is not None and self.nodes > budget:
                     raise SearchBudgetExceeded(
@@ -274,49 +197,29 @@ class _CoverSearch:
                             break
                         used.add(key)
                         keys_new.append(key)
-                    if ok and chain:
-                        for key in keys_new:
-                            for s in key_subs[key]:
-                                bucket[s].discard(key)
-                        if not chain_ok(p):
-                            ok = False
-                            for key in keys_new:
-                                for s in key_subs[key]:
-                                    bucket[s].add(key)
                     if ok:
                         counts[letter] += 1
-                        choice[d] = idx + 1
+                        nxt[d] = letter + 1
                         added[d] = keys_new
-                        disc[d] = cum_prev + (1 if idx else 0)
                         if symmetric:
                             maxu[d] = letter if letter > prev else prev
-                        placed = True
                         break
                     for key in keys_new:
                         used.remove(key)
-                idx += 1
-            if not placed:
-                choice[d] = 0
-                cands[d] = None
+            else:
+                # no letter fits here: undo the placement one depth up
+                nxt[d] = 1
                 d -= 1
                 if d >= 0:
                     counts[word[free[d]]] -= 1
                     for key in added[d]:
                         used.remove(key)
-                    if chain:
-                        for key in added[d]:
-                            for s in key_subs[key]:
-                                bucket[s].add(key)
                 continue
             if d == m - 1:
                 yield tuple(word)
                 counts[word[p]] -= 1
                 for key in added[d]:
                     used.remove(key)
-                if chain:
-                    for key in added[d]:
-                        for s in key_subs[key]:
-                            bucket[s].add(key)
                 continue
             d += 1
 
@@ -327,54 +230,6 @@ def _full_multiset_target(n: int, t: int) -> tuple[MultisetKey, ...]:
 
 def _full_subset_target(n: int, t: int) -> tuple[MultisetKey, ...]:
     return tuple(combinations(range(1, n + 1), t))
-
-
-def _witness_search(
-    n: int,
-    t: int,
-    target: tuple[MultisetKey, ...],
-    fixed: dict[int, Letter],
-    node_budget: int | None,
-    symmetric: bool,
-    describe: str,
-    spent: int = 0,
-) -> tuple[Letter, ...]:
-    """Witness portfolio: discrepancy-limited passes, then an open pass.
-
-    Witness runtimes are heavy-tailed in the first few decisions, so rather
-    than sinking the whole budget into one depth-first dive, run passes that
-    allow 0, 1, 2, ... deviations from the heuristic-first choice.  A pass
-    that exhausts without ever hitting its discrepancy limit proves
-    infeasibility outright.  The total node count across passes, plus the
-    ``spent`` nodes of an earlier fast path, never exceeds ``node_budget``.
-    """
-    passes: list[int | None] = [0, 1, 2, 3, 4, None]
-    for max_disc in passes:
-        if node_budget is not None:
-            remaining = node_budget - spent
-            if remaining <= 0:
-                raise SearchBudgetExceeded(
-                    f"node budget {node_budget} exhausted", spent
-                )
-        else:
-            remaining = None
-        search = _CoverSearch(
-            n, t, target, fixed, remaining,
-            relabel_symmetric=symmetric,
-            max_discrepancies=max_disc,
-        )
-        try:
-            return next(search.solutions())
-        except SearchBudgetExceeded:
-            spent += search.nodes
-            raise SearchBudgetExceeded(
-                f"node budget {node_budget} exhausted", spent
-            ) from None
-        except StopIteration:
-            spent += search.nodes
-            if not search.discrepancy_pruned:
-                raise SearchInfeasible(describe) from None
-    raise SearchInfeasible(describe)
 
 
 # Fixed seed of the Euler fast path's local search: identical inputs always
@@ -602,8 +457,10 @@ def _find_ucycle(
 
     Unconstrained t=3 requests with 3 not dividing n take the Euler fast path
     (``_euler_block3``); everything else, and the tiniest alphabets, run the
-    witness search with what is left of the budget.  The word is verified
-    once before it is returned.
+    witness search with what is left of the budget.  The search raises
+    ``SearchInfeasible`` when it is exhausted and ``SearchBudgetExceeded``,
+    carrying the nodes of both, when the budget runs out.  The word is
+    verified once before it is returned.
     """
     kind = "subset" if distinct else "multiset"
     target = (_full_subset_target if distinct else _full_multiset_target)(n, t)
@@ -624,15 +481,27 @@ def _find_ucycle(
     spent = 0
     if symmetric and t == 3 and n % 3:
         # Fast path: a shift-symmetric word built from an Euler circuit of
-        # the gap digraph; fall back to the general portfolio, with what is
+        # the gap digraph; fall back to the witness search, with what is
         # left of the budget, when the local search finds no block.
         letters, spent = _euler_block3(n, distinct, c.node_budget)
     if letters is None:
-        letters = _witness_search(
-            n, t, target, fixed, c.node_budget, symmetric,
-            f"no {t}-{kind} ucycle over [{n}] satisfies the constraints",
-            spent=spent,
+        budget = c.node_budget
+        remaining = None if budget is None else budget - spent
+        if remaining is not None and remaining <= 0:
+            raise SearchBudgetExceeded(f"node budget {budget} exhausted", spent)
+        search = _CoverSearch(
+            n, t, target, fixed, remaining, relabel_symmetric=symmetric
         )
+        try:
+            letters = next(search.solutions(), None)
+        except SearchBudgetExceeded:
+            raise SearchBudgetExceeded(
+                f"node budget {budget} exhausted", spent + search.nodes
+            ) from None
+        if letters is None:
+            raise SearchInfeasible(
+                f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"
+            )
     word = CycleWord(n, letters)
     # looked up at call time, so a wrapper installed on the module is seen
     verify = verify_subset_ucycle if distinct else verify_multiset_ucycle
@@ -672,7 +541,8 @@ class CountResult:
     ``count_rot_relabel`` counts classes under rotation + relabeling;
     ``count_also_reflect`` additionally folds reflection and is never larger.
     ``exhausted`` is false when some branch hit the node budget, in which case
-    the counts are lower bounds.
+    the counts are lower bounds.  ``representatives`` holds the letters of
+    each class's canonical representative, in ascending order.
     """
 
     n: int
@@ -681,6 +551,7 @@ class CountResult:
     count_also_reflect: int
     exhausted: bool
     nodes_visited: int
+    representatives: tuple[tuple[Letter, ...], ...] = ()
 
     def as_text(self) -> str:
         return (
@@ -748,7 +619,9 @@ def count_distinct(
         return CountResult(n, t, 0, 0, exhausted=True, nodes_visited=0)
     if n == 1:
         # The single word "1...1" of length 1 covers the lone multiset.
-        return CountResult(n, t, 1, 1, exhausted=True, nodes_visited=0)
+        return CountResult(
+            n, t, 1, 1, exhausted=True, nodes_visited=0, representatives=((1,),)
+        )
     # n = 2 words have t + 1 letters, so only the run itself can be pinned
     seconds = [None] if n == 2 else [1, 2, 3]
     branch_args = [(n, t, second, budget) for second in seconds]
@@ -767,7 +640,9 @@ def count_distinct(
         nodes += branch_nodes
         exhausted = exhausted and branch_done
     folded = {_fold_reflection(n, rep) for rep in reps}
-    return CountResult(n, t, len(reps), len(folded), exhausted, nodes)
+    return CountResult(
+        n, t, len(reps), len(folded), exhausted, nodes, tuple(sorted(reps))
+    )
 
 
 def enumerate_ucycles(

@@ -66,6 +66,15 @@ EULER_SHA256 = {
     ("subset", 50): "35b84059eec9b47c2b952560c325b784323b80d9cb8cb2dcbd5bbb4d9454a2bc",
 }
 
+# SHA-256 of the .ucy text (format_ucy(word, t)) of words the witness search
+# finds, keyed by (kind, n, t, required prefix): 2-multisets of [25],
+# 3-multisets of [4] and 3-subsets of [7] that begin with 2 4.
+WITNESS_SHA256 = {
+    ("multiset", 25, 2, ()): "964613d4b7acfc59b230c523c04894836fda1bda7d4270483f7ffa7dbf0b8a0e",
+    ("multiset", 4, 3, ()): "e6fa6bb203b6d6a414ad794deb8cfe88e954ba394462856332e6d972795b4dfe",
+    ("subset", 7, 3, (2, 4)): "2b9310330079b6b4d5baacfb79ff8dc5b187aa4c3348478be19ca02a7169ebe0",
+}
+
 # 3-subset ucycle over [8]; input of the pair-doubling walkthrough.
 SUBSET3_WORD_8 = (
     1, 2, 3, 5, 7, 8, 3, 6, 7, 8, 2, 4, 5, 8, 3, 4, 5, 7, 1, 2,

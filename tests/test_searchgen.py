@@ -39,6 +39,7 @@ from goldens import (
     DISTINCT_CLASSES_4_3,
     EULER_SHA256,
     UNSYMMETRIC_COUNT_NODES,
+    WITNESS_SHA256,
 )
 
 
@@ -86,8 +87,9 @@ class TestSubsetGeneration:
         assert len(word) == math.comb(n, 3)
         assert verify_subset_ucycle(word, 3).ok
 
-    def test_pair_windows(self):
-        word = generate_subset_ucycle(5, 2)
+    @pytest.mark.parametrize("n", range(5, 26, 2))
+    def test_pair_windows(self, n):
+        word = generate_subset_ucycle(n, 2, SearchConstraints(node_budget=20_000))
         assert verify_subset_ucycle(word, 2).ok
 
     def test_deterministic(self):
@@ -99,6 +101,8 @@ class TestSubsetGeneration:
         word = generate_subset_ucycle(7, 3, SearchConstraints(required_prefix=(2, 4)))
         assert word.letters[:2] == (2, 4)
         assert verify_subset_ucycle(word, 3).ok
+        digest = WITNESS_SHA256["subset", 7, 3, (2, 4)]
+        assert ucy_sha256(format_ucy(word, 3)) == digest
 
     def test_required_suffix_honored(self):
         word = generate_subset_ucycle(7, 3, SearchConstraints(required_suffix=(4, 3)))
@@ -129,12 +133,15 @@ class TestSubsetGeneration:
 
 class TestMultisetGeneration:
     @pytest.mark.parametrize(
-        "n, t", [(4, 3), (3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (13, 3)]
+        "n, t", [(4, 3), (3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (13, 3), (25, 2)]
     )
     def test_output_verifies(self, n, t):
         word = find_multiset_ucycle(n, t)
         assert len(word) == math.comb(n + t - 1, t)
         assert verify_multiset_ucycle(word, t).ok
+        digest = WITNESS_SHA256.get(("multiset", n, t, ()))
+        if digest is not None:
+            assert ucy_sha256(format_ucy(word, t)) == digest
 
     def test_inadmissible_rejected(self):
         # 4 does not divide C(5,2) = 10
@@ -300,6 +307,29 @@ class TestCounting:
         r = count_distinct(30, 4, budget=661)
         assert not r.exhausted
         assert 1 <= len(made) <= 3
+
+    def test_list_reuses_the_count(self, monkeypatch, capsys):
+        # --list prints the classes the count found instead of walking the
+        # anchored search again: one search per counting branch, no more
+        made = []
+
+        class CountingSearch(_CoverSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("ucycles.searchgen._CoverSearch", CountingSearch)
+        assert cli_main(["count", "--n", "4", "--t", "3", "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + DISTINCT_CLASSES_4_3
+        assert len(made) <= 3
+
+    def test_representatives_match_enumeration(self):
+        for n, t in [(4, 3), (5, 2), (3, 2), (1, 3)]:
+            r = count_distinct(n, t)
+            listed = sorted(c.representative.letters for c in enumerate_ucycles(n, t))
+            assert list(r.representatives) == listed
+            assert len(r.representatives) == r.count_rot_relabel
 
     def test_inadmissible_counts_zero(self):
         r = count_distinct(4, 2)
