@@ -1,7 +1,7 @@
 """Universal cycles on t-multisets and t-subsets of [n].
 
 Construction (inductive growth and pair doubling), verification, backtracking
-search, exhaustive enumeration and distinct-class counting, plus a small CLI
+search and distinct-class counting, plus a small CLI
 (``python -m ucycles`` or the ``ucycles`` script).
 """
 
@@ -25,24 +25,13 @@ from .doubling import (
     double_pairs,
     pair_index,
 )
-from .inductive import (
-    InductionState,
-    base_case,
-    build_connector,
-    build_filler,
-    construct_inductive,
-    extend,
-    partition_triples,
-    provenance_report,
-    run_induction,
-)
+from .inductive import construct_inductive, provenance_report
 from .searchgen import (
     CountResult,
     SearchBudgetExceeded,
     SearchConstraints,
     SearchInfeasible,
     count_distinct,
-    enumerate_ucycles,
     find_multiset_ucycle,
     generate_subset_ucycle,
 )
@@ -63,7 +52,6 @@ __all__ = [
     "CycleWord",
     "DoublingError",
     "InadmissibleError",
-    "InductionState",
     "InfeasiblePermutation",
     "PairOccurrenceIndex",
     "SearchBudgetExceeded",
@@ -74,9 +62,6 @@ __all__ = [
     "admissible_multiset",
     "admissible_subset",
     "append_triples",
-    "base_case",
-    "build_connector",
-    "build_filler",
     "canonicalize",
     "choose_permutation",
     "construct_doubling",
@@ -85,8 +70,6 @@ __all__ = [
     "cyclic_windows",
     "double_letters_2",
     "double_pairs",
-    "enumerate_ucycles",
-    "extend",
     "find_multiset_ucycle",
     "format_ucy",
     "generate_subset_ucycle",
@@ -94,10 +77,8 @@ __all__ = [
     "load_ucy",
     "pair_index",
     "parse_ucy",
-    "partition_triples",
     "provenance_report",
     "relabel",
-    "run_induction",
     "save_ucy",
     "verify_multiset_ucycle",
     "verify_subset_ucycle",

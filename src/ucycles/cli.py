@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import CycleWord
 from .doubling import DoublingError, InfeasiblePermutation, construct_doubling, pair_index
-from .inductive import construct_inductive, provenance_report, run_induction
+from .inductive import construct_inductive, provenance_report
 from .searchgen import (
     DEFAULT_COUNT_BUDGET,
     DEFAULT_WITNESS_BUDGET,
@@ -116,13 +116,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             if t != 3 or n % 3 != 1 or n < 4:
                 print("the inductive method needs t=3 and n = 3k+1 >= 4", file=sys.stderr)
                 return EXIT_USAGE
-            if n >= 7:
-                state = run_induction(n)
-                word = state.cycle()
-                provenance = provenance_report(state)
-            else:
-                word = construct_inductive(n)
-                provenance = ""
+            word = construct_inductive(n)
+            provenance = provenance_report(n)
         elif method == "doubling":
             if t != 3 or n % 2 or n % 3 == 0 or n < 8:
                 print(

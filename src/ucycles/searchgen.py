@@ -1,4 +1,4 @@
-"""Witness search, the gap-digraph Euler construction, enumeration, counting.
+"""Witness search, the gap-digraph Euler construction, counting.
 
 The backtracking engines solve one kind of exact-cover problem: place letters
 so that every window lands on a distinct member of a target key collection
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
-from .core import CanonicalClass, CycleWord, Letter, MultisetKey, canonicalize
+from .core import CycleWord, Letter, MultisetKey, canonicalize
 from .verify import (
     InadmissibleError,
     admissible_multiset,
@@ -560,32 +560,28 @@ class CountResult:
         )
 
 
-def _anchored_words(
-    n: int, t: int, second_free: Letter | None, node_budget: int | None
-) -> tuple[_CoverSearch, Iterator[tuple[Letter, ...]]]:
+def _count_branch(
+    args: tuple[int, int, Letter | None, int | None]
+) -> tuple[set[tuple[Letter, ...]], int, bool]:
     # Anchoring: every multiset ucycle contains the window {x,..,x} exactly
     # once for each letter x, so rotating to that run and renaming letters
     # by first occurrence gives a representative of its rotation+relabeling
     # class that begins with t ones and introduces letters in order.  The
     # letter after the run is then 2 (when the word is longer than t + 1),
-    # and the one after that is 1, 2 or 3 (``second_free``).  Enumerating
-    # these words reaches every class at least once; canonicalize dedupes.
-    target = _full_multiset_target(n, t)
-    fixed = {i: 1 for i in range(t)}
-    if second_free is not None:
-        fixed[t] = 2
-        fixed[t + 1] = second_free
-    search = _CoverSearch(n, t, target, fixed, node_budget, relabel_symmetric=True)
-    return search, search.solutions()
-
-
-def _count_branch(args: tuple[int, int, Letter | None, int | None]) -> tuple[set[tuple[Letter, ...]], int, bool]:
+    # and the one after that is 1, 2 or 3 (``second``).  Enumerating these
+    # words reaches every class at least once; canonicalize dedupes.
     n, t, second, budget = args
-    search, gen = _anchored_words(n, t, second, budget)
+    fixed = {i: 1 for i in range(t)}
+    if second is not None:
+        fixed[t] = 2
+        fixed[t + 1] = second
+    search = _CoverSearch(
+        n, t, _full_multiset_target(n, t), fixed, budget, relabel_symmetric=True
+    )
     reps: set[tuple[Letter, ...]] = set()
     exhausted = True
     try:
-        for letters in gen:
+        for letters in search.solutions():
             reps.add(canonicalize(CycleWord(n, letters)).representative.letters)
     except SearchBudgetExceeded:
         exhausted = False
@@ -618,9 +614,12 @@ def count_distinct(
     if not admissible_multiset(n, t):
         return CountResult(n, t, 0, 0, exhausted=True, nodes_visited=0)
     if n == 1:
-        # The single word "1...1" of length 1 covers the lone multiset.
+        # The only cycle over [1] has length C(t, t) = 1: the word "1" is a
+        # ucycle for t = 1 and shorter than a window for every larger t.
+        words = ((1,),) if t == 1 else ()
         return CountResult(
-            n, t, 1, 1, exhausted=True, nodes_visited=0, representatives=((1,),)
+            n, t, len(words), len(words), exhausted=True, nodes_visited=0,
+            representatives=words,
         )
     # n = 2 words have t + 1 letters, so only the run itself can be pinned
     seconds = [None] if n == 2 else [1, 2, 3]
@@ -644,34 +643,3 @@ def count_distinct(
         n, t, len(reps), len(folded), exhausted, nodes, tuple(sorted(reps))
     )
 
-
-def enumerate_ucycles(
-    n: int, t: int, limit: int | None = None
-) -> Iterator[CanonicalClass]:
-    """Yield distinct canonical classes of multiset ucycles in discovery order.
-
-    Enumeration is unbudgeted; pass a ``limit`` to truncate (truncation is not
-    an error).
-    """
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
-    if not admissible_multiset(n, t):
-        return
-    if limit is not None and limit <= 0:
-        return
-    if n == 1:
-        yield canonicalize(CycleWord(1, (1,) * math.comb(t, t)))
-        return
-    seen: set[tuple[Letter, ...]] = set()
-    emitted = 0
-    _, gen = _anchored_words(n, t, None, None)
-    for letters in gen:
-        cls = canonicalize(CycleWord(n, letters))
-        rep = cls.representative.letters
-        if rep in seen:
-            continue
-        seen.add(rep)
-        yield cls
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return

@@ -299,6 +299,14 @@ class TestCount:
             "1 1 1 2 2 2 3 1 3 1 4 4 4 3 3 3 2 4 2 4",
         ]
 
+    def test_single_letter_alphabet_agrees_with_gen(self):
+        # the word "1" is shorter than a 3-window: no class to list, and no
+        # word for gen to emit
+        r = run_cli("count", "--n", "1", "--t", "3", "--list")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == ["1 3 0 0 true 0"]
+        assert run_cli("gen", "--n", "1", "--t", "3").returncode == 1
+
     def test_list_needs_a_full_count(self):
         r = run_cli("count", "--n", "5", "--t", "3", "--budget", "1000", "--list")
         assert r.returncode == 3

@@ -1,4 +1,4 @@
-"""Backtracking generation, the Euler fast path, enumeration and counting."""
+"""Backtracking generation, the Euler fast path and counting."""
 
 import hashlib
 import math
@@ -22,7 +22,6 @@ from ucycles.searchgen import (
     _full_multiset_target,
     _unroll_circuit,
     count_distinct,
-    enumerate_ucycles,
     find_multiset_ucycle,
     generate_subset_ucycle,
 )
@@ -324,12 +323,14 @@ class TestCounting:
         assert len(lines) == 1 + DISTINCT_CLASSES_4_3
         assert len(made) <= 3
 
-    def test_representatives_match_enumeration(self):
-        for n, t in [(4, 3), (5, 2), (3, 2), (1, 3)]:
-            r = count_distinct(n, t)
-            listed = sorted(c.representative.letters for c in enumerate_ucycles(n, t))
-            assert list(r.representatives) == listed
-            assert len(r.representatives) == r.count_rot_relabel
+    @pytest.mark.parametrize("n,t", [(1, 1), (1, 3), (3, 2), (4, 3), (5, 2)])
+    def test_representatives_verify_and_are_canonical(self, n, t):
+        r = count_distinct(n, t)
+        assert len(r.representatives) == r.count_rot_relabel
+        for letters in r.representatives:
+            word = CycleWord(n, letters)
+            assert verify_multiset_ucycle(word, t).ok
+            assert canonicalize(word).representative.letters == letters
 
     def test_inadmissible_counts_zero(self):
         r = count_distinct(4, 2)
@@ -340,8 +341,10 @@ class TestCounting:
         assert not r.exhausted
 
     def test_single_letter_alphabet(self):
+        # "1" is shorter than a 3-window, so no ucycle exists (as the
+        # verifier and find_multiset_ucycle agree)
         r = count_distinct(1, 3)
-        assert r.count_rot_relabel == 1 and r.exhausted
+        assert r.count_rot_relabel == 0 and r.exhausted
 
     def test_as_text_format(self):
         assert count_distinct(3, 2).as_text().startswith("3 2 1 1 true ")
@@ -380,15 +383,10 @@ class TestRelabelSymmetryGuard:
 
 class TestEnumeration:
     def test_matches_count(self):
-        classes = list(enumerate_ucycles(4, 3))
-        assert len(classes) == DISTINCT_CLASSES_4_3
-        reps = {c.representative.letters for c in classes}
-        assert len(reps) == DISTINCT_CLASSES_4_3
-        for c in classes:
-            assert verify_multiset_ucycle(c.representative, 3).ok
-
-    def test_limit(self):
-        assert len(list(enumerate_ucycles(4, 3, limit=1))) == 1
+        reps = count_distinct(4, 3).representatives
+        assert len(set(reps)) == len(reps) == DISTINCT_CLASSES_4_3
+        for letters in reps:
+            assert verify_multiset_ucycle(CycleWord(4, letters), 3).ok
 
     def test_unanchored_brute_force_agrees(self):
         # independent route: all 3^6 words, filtered and folded
@@ -398,5 +396,5 @@ class TestEnumeration:
             if verify_multiset_ucycle(w, 2).ok:
                 found.add(canonicalize(w).representative.letters)
         assert len(found) == DISTINCT_CLASSES_3_2
-        anchored = {c.representative.letters for c in enumerate_ucycles(3, 2)}
+        anchored = set(count_distinct(3, 2).representatives)
         assert found == anchored
