@@ -21,7 +21,6 @@ from .doubling import (
     append_triples,
     choose_permutation,
     construct_doubling,
-    double_letters_2,
     double_pairs,
     pair_index,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "construct_inductive",
     "count_distinct",
     "cyclic_windows",
-    "double_letters_2",
     "double_pairs",
     "find_multiset_ucycle",
     "format_ucy",

@@ -52,24 +52,6 @@ class DoublingError(RuntimeError):
         return type(self), (self.args[0], self.report)
 
 
-def double_letters_2(subset_cycle: CycleWord) -> CycleWord:
-    """Upgrade a 2-subset ucycle to a 2-multiset one.
-
-    Repeating the first instance of every letter adds exactly the window
-    {x,x} for each letter x.
-    """
-    if not verify_subset_ucycle(subset_cycle, 2).ok:
-        raise ValueError("input does not verify as a ucycle on 2-subsets")
-    seen: set[Letter] = set()
-    out: list[Letter] = []
-    for x in subset_cycle.letters:
-        out.append(x)
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return CycleWord(subset_cycle.alphabet_size, tuple(out))
-
-
 @dataclass(frozen=True)
 class PairOccurrenceIndex:
     """Adjacency facts about a 3-subset ucycle.

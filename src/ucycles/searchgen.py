@@ -9,12 +9,12 @@ that builds a shift-symmetric word instead of searching letter by letter.  A
 block w of length (family size)/n is unrolled into n copies w + i*s (mod n);
 the block's cyclic gaps turn each window into an edge of a digraph on Z_n,
 each shift-orbit of 3-sets or 3-multisets into a class of at most 6 such
-edges, and the block into an Euler circuit through one edge per class.  A
-seeded local search picks the edges, Hierholzer's algorithm walks the
-circuit.  This is the Euler-circuit method of Chung, Diaconis and Graham
-(1992) and Jackson (1993).  When the local search finds no block within its
-step allowance (only on the tiniest alphabets), the general witness search
-runs with what is left of the node budget.
+edges, and the block into an Euler circuit through one edge per class.  The
+edges come in mirror pairs, so a balanced pick is built rather than searched
+for, and Hierholzer's algorithm walks the circuit.  This is the
+Euler-circuit method of Chung, Diaconis and Graham (1992) and Jackson
+(1993).  When no pick works (only on the tiniest alphabets), the general
+witness search runs with what is left of the node budget.
 
 The witness search is one depth-first pass that tries letters in ascending
 order.  It prunes only by the pinned positions, by each letter's total count
@@ -25,16 +25,15 @@ of the complete graph on [n] (with loops for multisets), and the ascending
 pass finds one at once.
 
 Everything is deterministic: identical inputs always yield identical outputs
-and node counts.  A node is one attempted letter placement, one candidate
-swap of the local search or one circuit edge; searches stop with an error
-when the node budget runs out.
+and node counts.  A node is one attempted letter placement, or in the Euler
+construction one gap-digraph edge sorted into its class, one re-choice tried
+or one circuit edge walked; searches stop with an error when the node budget
+runs out.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -232,22 +231,6 @@ def _full_subset_target(n: int, t: int) -> tuple[MultisetKey, ...]:
     return tuple(combinations(range(1, n + 1), t))
 
 
-# Fixed seed of the Euler fast path's local search: identical inputs always
-# walk the same sequence of swaps and yield the same word.
-_EULER_SEED = 20260815
-# Step allowance per shift class before the fast path gives up.
-_EULER_STEPS_PER_CLASS = 40
-# Steps without a new lowest imbalance before restarting from a fresh pick.
-_EULER_PLATEAU = 1000
-# A class just swapped stays frozen for this many steps, so the search cannot
-# undo its last move at once.
-_EULER_TABU = 3
-# Chance of taking a random helpful swap instead of a best one.
-_EULER_NOISE = 0.05
-# Classes re-picked at random when a balanced pick is rejected.
-_EULER_KICK = 2
-
-
 def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
     """Shift classes of 3-sets (or 3-multisets) of Z_n as gap-digraph edges.
 
@@ -303,20 +286,34 @@ def _unroll_circuit(
     return tuple((x + i * s) % n + 1 for i in range(n) for x in block)
 
 
-def _swap_edge(
-    classes: list[tuple[tuple[int, int], ...]],
-    pick: list[int],
-    bal: list[int],
-    c: int,
-    i: int,
-) -> None:
-    a, b = classes[c][pick[c]]
-    a2, b2 = classes[c][i]
-    bal[a] -= 1
-    bal[b] += 1
-    bal[a2] += 1
-    bal[b2] -= 1
-    pick[c] = i
+def _spend(nodes: int, node_budget: int | None) -> int:
+    if node_budget is not None and nodes > node_budget:
+        raise SearchBudgetExceeded(f"node budget {node_budget} exhausted", nodes)
+    return nodes
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _pick_shape(
+    n: int, options: list[list[tuple[int, int]]], pick: list[int]
+) -> tuple[int, int]:
+    """(weak components, sum of tails mod n) of the edges a pick takes."""
+    parent = list(range(n))
+    touched: set[int] = set()
+    joins = s = 0
+    for opts, i in zip(options, pick):
+        a, b = opts[i]
+        s += a if a == b else a + b
+        touched.update((a, b))
+        ra, rb = _root(parent, a), _root(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            joins += 1
+    return len(touched) - joins, s % n
 
 
 def _euler_block3(
@@ -331,109 +328,75 @@ def _euler_block3(
     the L gaps trace a closed walk using one edge of every shift class (see
     ``_gap_classes``) and s = sum of the gaps is a unit mod n.
 
-    The edge per class is picked by a seeded min-conflicts local search: at a
-    random unbalanced node, make the best swap among the classes touching it
-    (with a little noise and a short tabu), restart on a plateau, and accept
-    a balanced pick only when its s is a unit and Hierholzer's algorithm
-    walks all of it (``_unroll_circuit``): the circuit is the block.  A
-    node is one candidate swap evaluated or one circuit edge walked.
+    The edges are chosen by construction.  The mirror of a class, the class
+    of the negated set, holds the reverse of each of its edges, so a class
+    and its mirror can take a 2-cycle (a, b), (b, a), and a class that is its
+    own mirror a loop (g, g): every such pick is balanced.  Each pair first
+    takes the first 2-cycle that joins two components, else its first one.
+    While the pick is disconnected or s is not a unit, the first single
+    re-choice (pairs in class order, options in edge order) that lowers the
+    component count or, on a connected pick, makes s a unit is taken.
+    Hierholzer's algorithm then walks the circuit (``_unroll_circuit``): it
+    is the block.  A node is one edge sorted into its class, one re-choice
+    tried or one circuit edge walked.
 
-    Returns (1-based letters or None, nodes spent); None means the step
-    allowance ran out, which happens on the tiniest alphabets.
+    Returns (1-based letters or None, nodes spent); None means no pick
+    works, which happens on the tiniest alphabets.
     """
     classes = _gap_classes(n, distinct)
     L = len(classes)
     if L < 3:
         return None, 0
-    touching: list[list[int]] = [[] for _ in range(n)]
+    home = {e: c for c, edges in enumerate(classes) for e in edges}
+    nodes = _spend(len(home), node_budget)
+    # one entry per pair of mirrors, in class order: option (a, b) is the
+    # 2-cycle (a, b), (b, a), or the loop (a, a) when a == b
+    heads: list[int] = []
+    options: list[list[tuple[int, int]]] = []
     for c, edges in enumerate(classes):
-        for v in sorted({x for e in edges for x in e}):
-            touching[v].append(c)
-    # int stand-in for "unbudgeted": keeps the hot comparison int-only
-    limit = sys.maxsize if node_budget is None else node_budget
-    rng = random.Random(_EULER_SEED)
-    nodes = steps = 0
-    while steps < _EULER_STEPS_PER_CLASS * L:
-        pick = [rng.randrange(len(e)) for e in classes]
-        moved = [-_EULER_TABU - 1] * L  # step of each class's last swap
-        bal = [0] * n  # out-degree minus in-degree
-        for c, i in enumerate(pick):
-            a, b = classes[c][i]
-            bal[a] += 1
-            bal[b] -= 1
-        cost = best = sum(map(abs, bal))
-        stale = 0
-        while steps < _EULER_STEPS_PER_CLASS * L and stale < _EULER_PLATEAU:
-            steps += 1
-            if cost == 0:
-                chosen = [classes[c][i] for c, i in enumerate(pick)]
-                s = sum(a for a, _ in chosen) % n
-                letters = _unroll_circuit(n, chosen, s) if math.gcd(s, n) == 1 else None
-                if letters is not None:
-                    nodes += L
-                    if nodes > limit:
-                        raise SearchBudgetExceeded(
-                            f"node budget {node_budget} exhausted", nodes
-                        )
-                    return letters, nodes
-                for _ in range(_EULER_KICK):
-                    c = rng.randrange(L)
-                    _swap_edge(classes, pick, bal, c, rng.randrange(len(classes[c])))
-                    moved[c] = steps
-                cost = best = sum(map(abs, bal))
-                stale = 0
-                continue
-            unbalanced = [x for x in range(n) if bal[x]]
-            v = unbalanced[rng.randrange(len(unbalanced))]
-            dv = bal[v]
-            # with a little noise, every helpful swap counts as a best one
-            noisy = rng.random() < _EULER_NOISE
-            best_moves: list[tuple[int, int]] = []
-            best_delta = 9  # above any delta: a swap moves at most 4 units
-            for c in touching[v]:
-                if steps - moved[c] <= _EULER_TABU:
-                    continue
-                a, b = classes[c][pick[c]]
-                for i, (a2, b2) in enumerate(classes[c]):
-                    # only swaps that shrink the imbalance at v (which also
-                    # skips the current edge)
-                    if ((b == v) - (a == v) + (a2 == v) - (b2 == v)) * dv >= 0:
-                        continue
-                    nodes += 1
-                    if nodes > limit:
-                        raise SearchBudgetExceeded(
-                            f"node budget {node_budget} exhausted", nodes
-                        )
-                    if noisy:
-                        best_moves.append((c, i))
-                        continue
-                    touched = {a, b, a2, b2}
-                    before = sum(abs(bal[x]) for x in touched)
-                    bal[a] -= 1
-                    bal[b] += 1
-                    bal[a2] += 1
-                    bal[b2] -= 1
-                    delta = sum(abs(bal[x]) for x in touched) - before
-                    bal[a] += 1
-                    bal[b] -= 1
-                    bal[a2] -= 1
-                    bal[b2] += 1
-                    if delta < best_delta:
-                        best_delta = delta
-                        best_moves = [(c, i)]
-                    elif delta == best_delta:
-                        best_moves.append((c, i))
-            if best_moves:
-                c, i = best_moves[rng.randrange(len(best_moves))]
-                _swap_edge(classes, pick, bal, c, i)
-                moved[c] = steps
-                cost = sum(map(abs, bal))
-            if cost < best:
-                best = cost
-                stale = 0
-            else:
-                stale += 1
-    return None, nodes
+        mirror = home[edges[0][::-1]]
+        if mirror == c:
+            edges = tuple((a, b) for a, b in edges if a == b)
+            if not edges:
+                return None, nodes
+        if mirror >= c:
+            heads.append(c)
+            options.append(list(edges))
+    parent = list(range(n))
+    pick: list[int] = []
+    for opts in options:
+        i = next(
+            (i for i, (a, b) in enumerate(opts) if _root(parent, a) != _root(parent, b)),
+            0,
+        )
+        a, b = opts[i]
+        parent[_root(parent, a)] = _root(parent, b)
+        pick.append(i)
+    comps, s = _pick_shape(n, options, pick)
+    while comps > 1 or math.gcd(s, n) != 1:
+        tries = [
+            (p, i)
+            for p, opts in enumerate(options)
+            for i in range(len(opts))
+            if i != pick[p]
+        ]
+        for p, i in tries:
+            nodes = _spend(nodes + 1, node_budget)
+            was, pick[p] = pick[p], i
+            new_comps, new_s = _pick_shape(n, options, pick)
+            if new_comps < comps or (comps == new_comps == 1 and math.gcd(new_s, n) == 1):
+                break
+            pick[p] = was
+        else:
+            return None, nodes
+        comps, s = new_comps, new_s
+    chosen = [(0, 0)] * L
+    for c, opts, i in zip(heads, options, pick):
+        a, b = opts[i]
+        chosen[c] = (a, b)
+        chosen[home[b, a]] = (b, a)
+    nodes = _spend(nodes + L, node_budget)
+    return _unroll_circuit(n, chosen, s), nodes
 
 
 def _fixed_from_constraints(c: SearchConstraints, k: int) -> dict[int, Letter]:
@@ -482,7 +445,7 @@ def _find_ucycle(
     if symmetric and t == 3 and n % 3:
         # Fast path: a shift-symmetric word built from an Euler circuit of
         # the gap digraph; fall back to the witness search, with what is
-        # left of the budget, when the local search finds no block.
+        # left of the budget, when the construction finds no pick.
         letters, spent = _euler_block3(n, distinct, c.node_budget)
     if letters is None:
         budget = c.node_budget

@@ -57,13 +57,16 @@ INDUCTIVE_SHA256 = {
 }
 
 # SHA-256 of the .ucy text (format_ucy(word, 3)) of the Euler fast path's
-# words: 3-multisets of [23], [29], [77] and 3-subsets of [26], [50].
+# words: 3-multisets of [23], [29], [77], [98] and 3-subsets of [8], [26],
+# [50].
 EULER_SHA256 = {
-    ("multiset", 23): "6b17384f5162869da958ae1ff55b11feb40fb082e7d19ca4bc7a0372cd1246f9",
-    ("multiset", 29): "382a4fdbc96b1bf8f9f086ecdbacec3deed0c394c1beb1cbd3985c5249df0bd6",
-    ("multiset", 77): "8a5595ea511f4cbd31115d2c49ccfc5b8e1d22ff905cac39ece1296dacc1a9db",
-    ("subset", 26): "04816ad0e2cb2e64fbc444b576008eb8a9a7e21d4ca39c9b60d84f577d8411e2",
-    ("subset", 50): "35b84059eec9b47c2b952560c325b784323b80d9cb8cb2dcbd5bbb4d9454a2bc",
+    ("multiset", 23): "c640cd2f4880ea423ca2dd535a37076ffff17e8bb8174428ea6c3ea8a1d3a30a",
+    ("multiset", 29): "0f1a6da7b1d119ed134f30239705b79e49708f5bd7d01a861864d4c674b29d3f",
+    ("multiset", 77): "898d70e6ec45bbdfcb8cce211911450426dc3fdd5dd9963ff149c23911fd0369",
+    ("multiset", 98): "3e9f4b30c34b4ea8ac6f2c6b133f5ada400095d46aa37c229f758d76522fb313",
+    ("subset", 8): "77bd1abab177f47b881dcad8a93ea96550ad8977653c4ab51b52909809d075c1",
+    ("subset", 26): "1f65a09c510d97533295d3a7d6484ec9c9ef59be5a69a301b2c492dd03f846e5",
+    ("subset", 50): "daaf5561ecf9a92a60cb1c803b476a54a6aaf3f0191a5176624861b864908674",
 }
 
 # SHA-256 of the .ucy text (format_ucy(word, t)) of words the witness search

@@ -1,4 +1,4 @@
-"""Pair doubling: 3-subset ucycles to 3-multiset ucycles, and the 2-window warm-up."""
+"""Pair doubling: 3-subset ucycles to 3-multiset ucycles."""
 
 from collections import Counter
 
@@ -12,7 +12,6 @@ from ucycles.doubling import (
     append_triples,
     choose_permutation,
     construct_doubling,
-    double_letters_2,
     double_pairs,
     pair_index,
 )
@@ -26,7 +25,6 @@ from goldens import (
     ANCHOR_ORDER_8,
     DOUBLED_WORD_8,
     MISSING_PAIRS_8,
-    MULTISET2_WORD_5,
     MULTISET3_WORD_8,
     SUBSET2_WORD_5,
     SUBSET3_WORD_8,
@@ -41,17 +39,6 @@ def x8():
 @pytest.fixture(scope="module")
 def idx8(x8):
     return pair_index(x8)
-
-
-class TestLetterDoubling:
-    def test_frozen_example(self):
-        out = double_letters_2(CycleWord(5, SUBSET2_WORD_5))
-        assert out.letters == MULTISET2_WORD_5
-        assert verify_multiset_ucycle(out, 2).ok
-
-    def test_rejects_invalid_input(self):
-        with pytest.raises(ValueError):
-            double_letters_2(CycleWord(5, (1, 2, 3, 4, 5)))
 
 
 class TestPairIndex:

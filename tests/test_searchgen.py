@@ -20,6 +20,7 @@ from ucycles.searchgen import (
     _CoverSearch,
     _euler_block3,
     _full_multiset_target,
+    _gap_classes,
     _unroll_circuit,
     count_distinct,
     find_multiset_ucycle,
@@ -162,14 +163,14 @@ class TestMultisetGeneration:
 
 
 class TestEulerFastPath:
-    @pytest.mark.parametrize("n", [23, 29, 77])
+    @pytest.mark.parametrize("n", [23, 29, 77, 98])
     def test_multiset_verifies(self, n):
         word = find_multiset_ucycle(n, 3)
         assert len(word) == math.comb(n + 2, 3)
         assert verify_multiset_ucycle(word, 3).ok
         assert ucy_sha256(format_ucy(word, 3)) == EULER_SHA256["multiset", n]
 
-    @pytest.mark.parametrize("n", [26, 50])
+    @pytest.mark.parametrize("n", [8, 26, 50])
     def test_subset_word_feeds_doubling(self, n):
         word = generate_subset_ucycle(n, 3)
         assert len(word) == math.comb(n, 3)
@@ -182,6 +183,22 @@ class TestEulerFastPath:
         out = tmp_path / "w77.ucy"
         assert cli_main(["gen", "--n", "77", "--t", "3", "--out", str(out)]) == 0
         assert ucy_sha256(out.read_text()) == EULER_SHA256["multiset", 77]
+
+    @pytest.mark.parametrize("distinct, smallest", [(True, 8), (False, 5)])
+    def test_every_admissible_alphabet_is_built(self, distinct, smallest):
+        # the construction costs its edge table, the L circuit edges and a
+        # few re-choices, fewer than the edges it sorted; the odd subset
+        # words are verified here because no `gen` route asks for them
+        for n in range(smallest, 102):
+            if n % 3 == 0:
+                continue
+            classes = _gap_classes(n, distinct)
+            edges = sum(map(len, classes))
+            letters, spent = _euler_block3(n, distinct, None)
+            assert letters is not None, n
+            assert 0 <= spent - edges - len(classes) < edges, n
+            if distinct and n % 2:
+                assert verify_subset_ucycle(CycleWord(n, letters), 3).ok, n
 
     def test_circuit_must_use_every_edge(self):
         # both picks are balanced; the first splits into two components
