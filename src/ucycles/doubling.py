@@ -21,7 +21,8 @@ known pair-doubling route and are delegated to the search generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import eq
 
 from .core import CycleWord, Letter, Pair, PairSet
 from .searchgen import (
@@ -73,17 +74,19 @@ def pair_index(word: CycleWord) -> PairOccurrenceIndex:
     ls = word.letters
     k = len(ls)
     n = word.alphabet_size
+    if any(map(eq, ls, ls[1:] + ls[:1])):
+        raise ValueError("input is not a valid 3-subset ucycle: repeated adjacent letter")
+    # each ordered linear adjacency with a position: written right to left,
+    # so the leftmost position is the one kept
+    ordered = dict(zip(zip(ls[-2::-1], ls[:0:-1]), range(k - 2, -1, -1)))
     first: dict[Pair, int] = {}
-    present: set[Pair] = set()
-    for i in range(k):
-        u, v = ls[i], ls[(i + 1) % k]
-        if u == v:
-            raise ValueError("input is not a valid 3-subset ucycle: repeated adjacent letter")
+    for (u, v), i in ordered.items():
         p = (u, v) if u < v else (v, u)
-        present.add(p)
-        if i < k - 1 and p not in first:
+        if i < first.get(p, k):
             first[p] = i
-    missing = {p for p in combinations(range(1, n + 1), 2)} - present
+    u, v = ls[-1], ls[0]
+    present = frozenset(first) | {(u, v) if u < v else (v, u)}
+    missing = frozenset(combinations(range(1, n + 1), 2)) - present
     touched: set[Letter] = set()
     for u, v in sorted(missing):
         if u in touched or v in touched:
@@ -91,7 +94,7 @@ def pair_index(word: CycleWord) -> PairOccurrenceIndex:
                 "input is not a valid 3-subset ucycle: missing pairs share a letter"
             )
         touched.update((u, v))
-    return PairOccurrenceIndex(first, frozenset(present), frozenset(missing))
+    return PairOccurrenceIndex(first, present, missing)
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,17 @@ class AnchorPermutation:
 
 
 def choose_permutation(word: CycleWord, idx: PairOccurrenceIndex) -> AnchorPermutation:
-    """Deterministic anchor permutation for ``word``.
+    """The lexicographically least anchor permutation for ``word``.
 
     Constraints: x1 is the word's first character, xn its last, and the
-    odd-even pairs cover every missing pair.  Missing pairs are kept intact;
-    unmatched letters are paired ascending.  Among all feasible endpoint
-    partner choices the lexicographically least sequence wins.
+    odd-even pairs cover every missing pair.  Call a letter free when it is
+    in no missing pair and is neither end.  x2 is the head's missing partner,
+    else the least free letter; x(n-1) is the tail's missing partner, else
+    the greatest free letter other than x2.  The middle is the sorted list of
+    the missing pairs that touch no end and the other free letters paired
+    ascending.  This is the least sequence: x2 is compared first, and once it
+    is fixed, the greatest free letter for x(n-1) leaves every remaining pair
+    no larger, component by component, than any other choice would.
     """
     n = word.alphabet_size
     if n % 2:
@@ -141,62 +149,41 @@ def choose_permutation(word: CycleWord, idx: PairOccurrenceIndex) -> AnchorPermu
     for u, v in idx.missing:
         partner[u] = v
         partner[v] = u
-    leftovers = [x for x in range(1, n + 1) if x not in partner]
-
-    def assemble(head_mate: Letter | None, tail_mate: Letter | None) -> tuple[Letter, ...] | None:
-        first_other = partner.get(head, head_mate)
-        last_other = partner.get(tail, tail_mate)
-        if first_other is None or last_other is None:
-            return None
-        ends = (head, first_other, tail, last_other)
-        if len(set(ends)) != 4:
-            return None
-        consumed = set(ends)
-        middle = [p for p in idx.missing if not (set(p) & consumed)]
-        rest = [x for x in leftovers if x not in consumed]
-        middle += [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        middle.sort()
-        seq = [head, first_other]
-        for u, v in middle:
-            seq.extend((u, v))
-        seq.extend((last_other, tail))
-        return tuple(seq)
-
-    head_options: list[Letter | None]
-    tail_options: list[Letter | None]
-    head_options = [None] if head in partner else [x for x in leftovers if x not in (head, tail)]
-    tail_options = [None] if tail in partner else [x for x in leftovers if x not in (head, tail)]
-    candidates = []
-    for hm in head_options:
-        for tm in tail_options:
-            if hm is not None and hm == tm:
-                continue
-            seq = assemble(hm, tm)
-            if seq is not None:
-                candidates.append(seq)
-    if not candidates:
+    free = [x for x in range(1, n + 1) if x not in partner and x not in (head, tail)]
+    second = partner.get(head, free[0] if free else None)
+    penult = partner.get(tail, next((x for x in reversed(free) if x != second), None))
+    ends = {head, second, penult, tail}
+    if second is None or penult is None or len(ends) != 4:
         raise InfeasiblePermutation(
             f"no anchor permutation fits endpoints {head},{tail} "
             f"with missing pairs {sorted(idx.missing)}"
         )
-    return AnchorPermutation(min(candidates))
+    rest = [x for x in free if x not in ends]
+    middle = [p for p in idx.missing if p[0] not in ends and p[1] not in ends]
+    middle += zip(rest[::2], rest[1::2])
+    middle.sort()
+    return AnchorPermutation((head, second, *chain.from_iterable(middle), penult, tail))
 
 
 def double_pairs(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIndex) -> CycleWord:
     """Double the first occurrence of every present pair not exempted by ``perm``.
 
-    Insertions run right to left so earlier first-occurrence positions stay
-    valid; the pairs exempted are exactly the n chain pairs of the anchor.
+    The pairs exempted are exactly the n chain pairs of the anchor.  One
+    forward pass copies the word and writes l[i], l[i+1] again right after
+    l[i+1] for each first-occurrence position i of a pair to double.
     """
-    chain = perm.chain_pairs()
-    to_double = [p for p in idx.present if p not in chain]
-    for p in to_double:
+    starts = []
+    for p in idx.present - perm.chain_pairs():
         if p not in idx.first_occurrence:
             raise ValueError(f"pair {p} is adjacent only at the wrap and cannot be doubled")
-    out = list(word.letters)
-    for p in sorted(to_double, key=lambda q: idx.first_occurrence[q], reverse=True):
-        i = idx.first_occurrence[p]
-        out[i + 2 : i + 2] = [word.letters[i], word.letters[i + 1]]
+        starts.append(idx.first_occurrence[p])
+    ls = word.letters
+    out: list[Letter] = []
+    done = 0
+    for i in sorted(starts):
+        out += ls[done : i + 2] + ls[i : i + 2]
+        done = i + 2
+    out += ls[done:]
     return CycleWord(word.alphabet_size, tuple(out))
 
 
@@ -220,8 +207,8 @@ def construct_doubling(
     """A verified ucycle on the 3-multisets of [n] via pair doubling.
 
     Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle over
-    [n] may be supplied; otherwise one is generated by search.  Either way the
-    input is verified before use.
+    [n] may be supplied; otherwise ``generate_subset_ucycle`` builds one,
+    within ``node_budget``.  Either way the input is verified before use.
     """
     if n % 3 == 0:
         raise InadmissibleError(

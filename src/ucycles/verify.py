@@ -34,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, filterfalse, islice
+from operator import eq
 
 from .core import CycleWord, MultisetKey, cyclic_windows
 
@@ -227,8 +228,12 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     n = word.alphabet_size
     expected = math.comb(n, t) if n >= t else 0
     letters = word.letters
-    ok = False
-    if t <= len(letters) == expected and letters.count(letters[0]) * n == expected:
-        keys = dict.fromkeys(cyclic_windows(word, t))
-        ok = len(keys) == expected and all(len(set(k)) == t for k in keys)
+    ok = (
+        t <= len(letters) == expected
+        and letters.count(letters[0]) * n == expected
+        and len(dict.fromkeys(cyclic_windows(word, t))) == expected
+        # a window repeats a letter exactly when two letters fewer than t
+        # apart, cyclically, are equal
+        and not any(any(map(eq, letters, letters[d:] + letters[:d])) for d in range(1, t))
+    )
     return VerificationReport._deferred(ok, expected, word, t, True)

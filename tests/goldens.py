@@ -78,6 +78,15 @@ WITNESS_SHA256 = {
     ("subset", 7, 3, (2, 4)): "2b9310330079b6b4d5baacfb79ff8dc5b187aa4c3348478be19ca02a7169ebe0",
 }
 
+# SHA-256 of the .ucy text (format_ucy(word, 3)) of construct_doubling(n), the
+# 3-multiset words pair doubling builds from generate_subset_ucycle(n, 3).
+DOUBLING_SHA256 = {
+    16: "f13005106db98578c9b9799cebc94a3b9c9dfa9a72011a90a138f7deaa31f539",
+    22: "010b0597c1ce90d7f3bd2cabca96d7f0e9fd2ee3238ba718fdb9048b01e90369",
+    86: "c99c454c18ad8e1b2eaeaa91efaa878f1befe9763bec839385dd9505bfcf2bc9",
+    98: "1e79689010ba7676fcf65599a03336b758acfa160b54eb408fdb349cfe4587c3",
+}
+
 # 3-subset ucycle over [8]; input of the pair-doubling walkthrough.
 SUBSET3_WORD_8 = (
     1, 2, 3, 5, 7, 8, 3, 6, 7, 8, 2, 4, 5, 8, 3, 4, 5, 7, 1, 2,

@@ -1,6 +1,9 @@
 """Pair doubling: 3-subset ucycles to 3-multiset ucycles."""
 
+import hashlib
 from collections import Counter
+from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,12 +12,14 @@ from ucycles.doubling import (
     AnchorPermutation,
     DoublingError,
     InfeasiblePermutation,
+    PairOccurrenceIndex,
     append_triples,
     choose_permutation,
     construct_doubling,
     double_pairs,
     pair_index,
 )
+from ucycles.ucyfile import format_ucy
 from ucycles.verify import (
     InadmissibleError,
     verify_multiset_ucycle,
@@ -24,11 +29,94 @@ from ucycles.verify import (
 from goldens import (
     ANCHOR_ORDER_8,
     DOUBLED_WORD_8,
+    DOUBLING_SHA256,
     MISSING_PAIRS_8,
     MULTISET3_WORD_8,
     SUBSET2_WORD_5,
     SUBSET3_WORD_8,
 )
+
+
+def _least_by_enumeration(word, idx):
+    """Reference anchor permutation: assemble every endpoint-mate choice, keep the least."""
+    n = word.alphabet_size
+    if n % 2:
+        raise InfeasiblePermutation("anchor permutation needs an even alphabet")
+    head, tail = word.letters[0], word.letters[-1]
+    partner = {}
+    for u, v in idx.missing:
+        partner[u] = v
+        partner[v] = u
+    leftovers = [x for x in range(1, n + 1) if x not in partner]
+
+    def assemble(head_mate, tail_mate):
+        first_other = partner.get(head, head_mate)
+        last_other = partner.get(tail, tail_mate)
+        if first_other is None or last_other is None:
+            return None
+        ends = (head, first_other, tail, last_other)
+        if len(set(ends)) != 4:
+            return None
+        consumed = set(ends)
+        middle = [p for p in idx.missing if not (set(p) & consumed)]
+        rest = [x for x in leftovers if x not in consumed]
+        middle += [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
+        middle.sort()
+        seq = [head, first_other]
+        for u, v in middle:
+            seq.extend((u, v))
+        seq.extend((last_other, tail))
+        return tuple(seq)
+
+    head_options = [None] if head in partner else [x for x in leftovers if x not in (head, tail)]
+    tail_options = [None] if tail in partner else [x for x in leftovers if x not in (head, tail)]
+    candidates = []
+    for hm in head_options:
+        for tm in tail_options:
+            if hm is not None and hm == tm:
+                continue
+            seq = assemble(hm, tm)
+            if seq is not None:
+                candidates.append(seq)
+    if not candidates:
+        raise InfeasiblePermutation(
+            f"no anchor permutation fits endpoints {head},{tail} "
+            f"with missing pairs {sorted(idx.missing)}"
+        )
+    return min(candidates)
+
+
+def _doubled_by_splicing(word, perm, idx):
+    """Reference doubling: splice each pair in after its first occurrence, right to left."""
+    chain = perm.chain_pairs()
+    to_double = [p for p in idx.present if p not in chain]
+    for p in to_double:
+        if p not in idx.first_occurrence:
+            raise ValueError(f"pair {p} is adjacent only at the wrap and cannot be doubled")
+    out = list(word.letters)
+    for p in sorted(to_double, key=lambda q: idx.first_occurrence[q], reverse=True):
+        i = idx.first_occurrence[p]
+        out[i + 2 : i + 2] = [word.letters[i], word.letters[i + 1]]
+    return tuple(out)
+
+
+def _partial_matchings(letters):
+    """Every set of disjoint pairs over ``letters`` (ascending), as sorted tuples."""
+    if not letters:
+        yield ()
+        return
+    first, rest = letters[0], letters[1:]
+    yield from _partial_matchings(rest)
+    for j, mate in enumerate(rest):
+        for m in _partial_matchings(rest[:j] + rest[j + 1 :]):
+            yield ((first, mate),) + m
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InfeasiblePermutation, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +186,21 @@ class TestAnchorPermutation:
         with pytest.raises(InfeasiblePermutation):
             choose_permutation(w5, pair_index(w5))
 
+    def test_matches_enumeration(self):
+        # every partial matching as the missing pairs, every pair of distinct
+        # ends: the built order is the least assembled one, and an infeasible
+        # case raises the same message
+        cases = 0
+        for n in (4, 5, 6, 7, 8):
+            for matching in _partial_matchings(tuple(range(1, n + 1))):
+                idx = PairOccurrenceIndex({}, frozenset(), frozenset(matching))
+                for head, tail in permutations(range(1, n + 1), 2):
+                    word = SimpleNamespace(alphabet_size=n, letters=(head, tail))
+                    built = _outcome(lambda: choose_permutation(word, idx).order)
+                    assert built == _outcome(_least_by_enumeration, word, idx)
+                    cases += n % 2 == 0
+        assert cases == 45184
+
 
 class TestDoublePairs:
     def test_frozen_intermediate(self, x8, idx8):
@@ -124,6 +227,28 @@ class TestDoublePairs:
         assert added == expected
 
 
+    @pytest.mark.parametrize("n", [8, 10, 14])
+    def test_matches_splicing_on_every_rotation(self, subset_sweep, n):
+        word = CycleWord(8, SUBSET3_WORD_8) if n == 8 else subset_sweep.value[n]
+        for offset in range(len(word)):
+            rotated = word.rotate(offset)
+            idx = pair_index(rotated)
+            perm = choose_permutation(rotated, idx)
+            assert double_pairs(rotated, perm, idx).letters == _doubled_by_splicing(
+                rotated, perm, idx
+            )
+
+    def test_pair_adjacent_only_at_the_wrap_is_refused(self):
+        # {4,1} is adjacent only at the wrap, and 1, 4 are not consecutive
+        # in the anchor, so that pair would have to be doubled
+        word = CycleWord(4, (1, 2, 3, 4))
+        idx = pair_index(word)
+        perm = AnchorPermutation((1, 2, 4, 3))
+        expected = (ValueError, "pair (1, 4) is adjacent only at the wrap and cannot be doubled")
+        assert _outcome(_doubled_by_splicing, word, perm, idx) == expected
+        assert _outcome(double_pairs, word, perm, idx) == expected
+
+
 class TestAppendTriples:
     def test_frozen_result(self, x8, idx8):
         perm = AnchorPermutation(ANCHOR_ORDER_8)
@@ -146,6 +271,11 @@ class TestConstructDoubling:
         for n, word in doubling_sweep.value.items():
             assert word.alphabet_size == n
             assert verify_multiset_ucycle(word, 3).ok
+
+    @pytest.mark.parametrize("n", sorted(DOUBLING_SHA256))
+    def test_pinned_word_digests(self, n):
+        payload = format_ucy(construct_doubling(n), 3).encode()
+        assert hashlib.sha256(payload).hexdigest() == DOUBLING_SHA256[n]
 
     def test_rejects_multiple_of_three(self):
         with pytest.raises(InadmissibleError):
