@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import eq
+from typing import Sequence
 
 from .core import CycleWord, Letter, Pair, PairSet
 from .searchgen import (
@@ -172,6 +173,10 @@ def double_pairs(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIn
     forward pass copies the word and writes l[i], l[i+1] again right after
     l[i+1] for each first-occurrence position i of a pair to double.
     """
+    return CycleWord(word.alphabet_size, tuple(_doubled_letters(word, perm, idx)))
+
+
+def _doubled_letters(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIndex) -> list[Letter]:
     starts = []
     for p in idx.present - perm.chain_pairs():
         if p not in idx.first_occurrence:
@@ -184,13 +189,17 @@ def double_pairs(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIn
         out += ls[done : i + 2] + ls[i : i + 2]
         done = i + 2
     out += ls[done:]
-    return CycleWord(word.alphabet_size, tuple(out))
+    return out
 
 
 def append_triples(doubled: CycleWord, perm: AnchorPermutation) -> CycleWord:
     """Append x1 x1 x1 ... xn xn xn and verify the result as a 3-multiset ucycle."""
-    suffix = tuple(x for x in perm.order for _ in range(3))
-    result = CycleWord(doubled.alphabet_size, doubled.letters + suffix)
+    return _closed(doubled.alphabet_size, doubled.letters, perm)
+
+
+def _closed(n: int, doubled: Sequence[Letter], perm: AnchorPermutation) -> CycleWord:
+    """The doubled letters with the triples appended, built and verified once."""
+    result = CycleWord(n, (*doubled, *(x for x in perm.order for _ in range(3))))
     report = verify_multiset_ucycle(result, 3)
     if not report.ok:
         raise DoublingError(
@@ -233,4 +242,4 @@ def construct_doubling(
         raise ValueError("supplied word does not verify as a ucycle on 3-subsets")
     idx = pair_index(subset_cycle)
     perm = choose_permutation(subset_cycle, idx)
-    return append_triples(double_pairs(subset_cycle, perm, idx), perm)
+    return _closed(n, _doubled_letters(subset_cycle, perm, idx), perm)

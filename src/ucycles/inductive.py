@@ -120,7 +120,7 @@ def _next_extension(extension: Sequence[Letter], m: int) -> list[Letter]:
     filler follow.
     """
     lift = {m - 5: m - 2, m - 4: m - 1, m - 3: m}
-    out = [lift.get(x, x) for x in extension]
+    out = list(map(lift.get, extension, extension))
     out.extend(_connector_letters(m))
     out.extend(_filler_letters(m))
     return out

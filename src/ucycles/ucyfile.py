@@ -4,6 +4,13 @@ Line 1 holds ``n t`` (alphabet size and window size); line 2 holds the word as
 whitespace-separated integers in ``1..n``.  Nothing may follow the word line.
 The format does not record whether the word is meant as a multiset or a subset
 cycle; that choice belongs to the consumer.
+
+Both directions look letters up in a table of their names, ``str(x)`` for
+x in ``1..n``, instead of calling ``str`` or ``int`` once per letter.  A
+table is built only when n is at most the word's length, so a huge header
+over a short word allocates nothing of size n.  A word line holding any
+other token (``+3``, ``03``, ``0``, ``x``, a letter above n) is read by
+``int``, so it parses, or fails, exactly as it would without the table.
 """
 
 from __future__ import annotations
@@ -20,7 +27,14 @@ class UcyFormatError(ValueError):
 def format_ucy(word: CycleWord, t: int) -> str:
     if t < 1:
         raise ValueError("window size must be positive")
-    return f"{word.alphabet_size} {t}\n{' '.join(map(str, word.letters))}\n"
+    n, letters = word.alphabet_size, word.letters
+    # a letter of an int subclass (a bool, say) keeps its own str
+    if n <= len(letters) and set(map(type, letters)) == {int}:
+        names = [str(x) for x in range(n + 1)]
+        body = " ".join(map(names.__getitem__, letters))
+    else:
+        body = " ".join(map(str, letters))
+    return f"{n} {t}\n{body}\n"
 
 
 def parse_ucy(text: str) -> tuple[CycleWord, int]:
@@ -36,10 +50,7 @@ def parse_ucy(text: str) -> tuple[CycleWord, int]:
         raise UcyFormatError("header must hold exactly two integers: n t") from exc
     if t < 1:
         raise UcyFormatError("window size t must be positive")
-    try:
-        letters = tuple(map(int, lines[1].split()))
-    except ValueError as exc:
-        raise UcyFormatError("word line must hold integers only") from exc
+    letters = _read_letters(lines[1].split(), n)
     for extra in lines[2:]:
         if extra.strip():
             raise UcyFormatError("trailing data after the word line")
@@ -48,6 +59,18 @@ def parse_ucy(text: str) -> tuple[CycleWord, int]:
     except ValueError as exc:
         raise UcyFormatError(str(exc)) from exc
     return word, t
+
+
+def _read_letters(tokens: list[str], n: int) -> tuple[int, ...]:
+    if n <= len(tokens):
+        try:
+            return tuple(map({str(x): x for x in range(1, n + 1)}.__getitem__, tokens))
+        except KeyError:
+            pass  # not every token is the name of a letter: read them by int
+    try:
+        return tuple(map(int, tokens))
+    except ValueError as exc:
+        raise UcyFormatError("word line must hold integers only") from exc
 
 
 def load_ucy(path: str | Path) -> tuple[CycleWord, int]:

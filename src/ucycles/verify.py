@@ -22,10 +22,13 @@ Whether a word passes is decided in three steps, cheapest first:
    distinct windows, all members of the family, covers it exactly once.
 
 The first two steps read no window.  The evidence is deferred: a verifier's
-report computes ``missing``, ``duplicated`` and ``frequency_table`` from the
-word when one is first read and keeps it (a passing word's ``missing`` and
-``duplicated`` are empty from the start), so a caller that reads only ``ok``
-pays for these steps and nothing more.
+report computes ``missing``, ``duplicated`` and ``frequency_table`` when one
+is first read and keeps it, so a caller that reads only ``ok`` pays for these
+steps and nothing more.  A passing word's ``missing`` and ``duplicated`` are
+empty from the start, and its letter counts are arithmetic: by step 2's fact
+every letter occurs (family size)/n times, so its ``frequency_table`` is
+built without a pass over the letters.  A failing word's evidence is
+computed from the word.
 """
 
 from __future__ import annotations
@@ -77,11 +80,13 @@ class VerificationReport:
 
     A report built by a verifier decides ``ok`` from the word's length, its
     first letter's count and its distinct windows, and defers ``missing``,
-    ``duplicated`` and ``frequency_table``: each is computed from the word
-    and ``t`` on first access and then kept, so a second access returns the
-    same object.  A passing word's ``missing`` and ``duplicated`` are ``()``
-    from the start.  Either kind of report compares equal field by field to
-    one constructed from its six values.
+    ``duplicated`` and ``frequency_table``: each is computed on first access
+    and then kept, so a second access returns the same object.  A passing
+    word's ``missing`` and ``duplicated`` are ``()`` from the start, and its
+    ``frequency_table`` gives every letter (family size)/n without reading
+    the word; a failing word's evidence is computed from the word and ``t``.
+    Either kind of report compares equal field by field to one constructed
+    from its six values.
     """
 
     ok: bool
@@ -110,7 +115,14 @@ class VerificationReport:
         # Python calls this only for an attribute that is not set, which on a
         # verifier's report is a deferred field not yet read.
         if name == "frequency_table":
-            object.__setattr__(self, name, _frequency_table(self._source[0]))
+            word = self._source[0]
+            if self.ok:
+                # every letter of a ucycle occurs (family size)/n times
+                n = word.alphabet_size
+                table = dict.fromkeys(range(1, n + 1), self.expected_length // n)
+            else:
+                table = _frequency_table(word)
+            object.__setattr__(self, name, table)
         elif name in ("missing", "duplicated"):
             self._detail(None)
         else:

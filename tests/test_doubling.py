@@ -277,6 +277,19 @@ class TestConstructDoubling:
         payload = format_ucy(construct_doubling(n), 3).encode()
         assert hashlib.sha256(payload).hexdigest() == DOUBLING_SHA256[n]
 
+    def test_final_word_is_built_once(self, x8, monkeypatch):
+        # the supplied word is already a CycleWord; only the result is built
+        built = []
+        post_init = CycleWord.__post_init__
+
+        def counted(word):
+            built.append(len(word.letters))
+            post_init(word)
+
+        monkeypatch.setattr(CycleWord, "__post_init__", counted)
+        assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
+        assert built == [len(MULTISET3_WORD_8)]
+
     def test_rejects_multiple_of_three(self):
         with pytest.raises(InadmissibleError):
             construct_doubling(12)

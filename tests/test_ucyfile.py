@@ -1,5 +1,10 @@
 """The .ucy two-line text format."""
 
+import subprocess
+import sys
+import textwrap
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,3 +87,108 @@ def test_round_trip_any_word(nw, t):
     word = CycleWord(n, tuple(letters))
     parsed, t_back = parse_ucy(format_ucy(word, t))
     assert parsed == word and t_back == t
+
+
+def _ref_parse_ucy(text):
+    """The word reader before the name table: one ``int`` call per token."""
+    lines = text.splitlines()
+    if len(lines) < 2:
+        raise UcyFormatError("expected a header line and a word line")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise UcyFormatError("header must hold exactly two integers: n t")
+    try:
+        n, t = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise UcyFormatError("header must hold exactly two integers: n t") from exc
+    if t < 1:
+        raise UcyFormatError("window size t must be positive")
+    try:
+        letters = tuple(map(int, lines[1].split()))
+    except ValueError as exc:
+        raise UcyFormatError("word line must hold integers only") from exc
+    for extra in lines[2:]:
+        if extra.strip():
+            raise UcyFormatError("trailing data after the word line")
+    try:
+        word = CycleWord(n, letters)
+    except ValueError as exc:
+        raise UcyFormatError(str(exc)) from exc
+    return word, t
+
+
+def _outcome(parse, text):
+    try:
+        word, t = parse(text)
+    except UcyFormatError as exc:
+        return "error", str(exc)
+    # exact types too: a table hit must give the int that int() gives
+    return word.alphabet_size, tuple(map(type, word.letters)), word.letters, t
+
+
+ODD_TOKENS = ["+3", "03", "٣", "0", "n+1", "-1", "1.0", "x", "3", "4", "5", "1_0", " 2", "²"]
+
+
+class TestNameTables:
+    """Letters go through tables of names, with ``int`` as the fallback."""
+
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    def test_odd_token_agrees_with_int(self, token):
+        # among three or twelve other letters: the table is built when n is
+        # at most the word's length, and skipped otherwise
+        for n, others, at in product([1, 3, 4, 12], [["1", "2", "1"], ["1", "2"] * 6], [0, -1]):
+            words = [*others, token] if at else [token, *others]
+            text = f"{n} 3\n{' '.join(words)}\n"
+            assert _outcome(parse_ucy, text) == _outcome(_ref_parse_ucy, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=-1, max_value=12),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-2, max_value=14).map(str),
+                st.sampled_from(ODD_TOKENS),
+                st.text(alphabet="0123456789+-_x.٣", min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_mixed_tokens_agree_with_int(self, n, tokens):
+        text = f"{n} 2\n{' '.join(tokens)}\n"
+        assert _outcome(parse_ucy, text) == _outcome(_ref_parse_ucy, text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.sampled_from([*range(1, n + 1), True]), min_size=1, max_size=30),
+            )
+        )
+    )
+    def test_format_agrees_with_str(self, nw):
+        # a bool letter is a letter 1 that keeps its own str
+        n, letters = nw
+        word = CycleWord(n, tuple(letters))
+        assert format_ucy(word, 3) == f"{n} 3\n{' '.join(map(str, letters))}\n"
+
+    def test_huge_header_allocates_no_table(self):
+        # in a child process whose address space is capped, so that a table
+        # of 10**9 names fails with MemoryError instead of filling the machine
+        child = textwrap.dedent(
+            """
+            import resource, tracemalloc
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from ucycles.ucyfile import format_ucy, parse_ucy
+            text = "1000000000 3\\n1 2 3\\n"
+            tracemalloc.start()
+            word, t = parse_ucy(text)
+            back = format_ucy(word, t)
+            peak = tracemalloc.get_traced_memory()[1]
+            print(word.alphabet_size, word.letters, t, back == text, peak < 1_000_000)
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1000000000 (1, 2, 3) 3 True True\n"

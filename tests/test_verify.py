@@ -419,6 +419,42 @@ class TestLetterCountStep:
         assert not _reads_windows(verify, word, 3)
 
 
+def _no_letter_pass(word):
+    raise AssertionError("a passing report counted its letters")
+
+
+class TestArithmeticFrequency:
+    """A passing report's letter counts come from the family size, not the word.
+
+    Every letter of a ucycle occurs (family size)/n times, so a passing
+    report gives each letter that count without a pass over the letters; a
+    failing report still counts them.
+    """
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_passing_report_reads_no_letter(self, known_ucycles, index, monkeypatch):
+        # multisets of [4], [13] (inductive), [16] (doubling); 3-subsets of [8]
+        word = known_ucycles[index]
+        monkeypatch.setattr("ucycles.verify._frequency_table", _no_letter_pass)
+        report = _own_verifier(word, 3)(word, 3)
+        assert report.ok
+        assert report.frequency_table == _ref_frequency_table(word)
+        counted = sorted(Counter(word.letters).items())
+        assert report.as_text().endswith("\nfrequency: " + " ".join(f"{a}={c}" for a, c in counted))
+
+    @pytest.mark.parametrize("verify", [verify_multiset_ucycle, verify_subset_ucycle])
+    def test_failing_report_counts_its_letters(self, verify):
+        letters = list(BASE_WORD_4)
+        letters[3] = 4 if letters[3] != 4 else 3
+        word = CycleWord(4, tuple(letters))
+        with mock.patch("ucycles.verify._frequency_table", wraps=_ref_frequency_table) as spy:
+            report = verify(word, 3)
+            assert not report.ok
+            assert report.frequency_table == _ref_frequency_table(word)
+        assert spy.call_count == 1
+        assert sum(report.frequency_table.values()) == len(word)
+
+
 class TestReportText:
     def test_truncates_item_lists(self):
         # the word's three windows all sort to {1,2,3}: 219 keys missing
