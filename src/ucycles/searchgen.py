@@ -22,7 +22,11 @@ order.  It prunes only by the pinned positions, by each letter's total count
 (unpinned requests and counting branches), by first-occurrence order of the
 letters.  For t=2 a ucycle is an Euler circuit
 of the complete graph on [n] (with loops for multisets), and the ascending
-pass finds one at once.
+pass finds one at once.  Windows are held as integer codes, not sorted
+tuples: letter x weighs (t+1)^(x-1) and a window's code is the sum of its
+letters' weights.  The code's base-(t+1) digits are the window's letter
+multiplicities, each at most t, so every t-multiset has its own code, and
+a window is coded by summing t weights with no sort.
 
 Everything is deterministic: identical inputs always yield identical outputs
 and node counts.  A node is one attempted letter placement, or in the Euler
@@ -34,7 +38,6 @@ runs out.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
@@ -74,12 +77,30 @@ class SearchConstraints:
     node_budget: int = DEFAULT_WITNESS_BUDGET
 
 
+def _letter_weights(n: int, t: int) -> list[int]:
+    """Window-code weight of each letter, indexed by letter (index 0 weighs 0).
+
+    Letter x weighs (t+1)^(x-1), so a t-multiset's code, the sum of its
+    letters' weights, has its letter multiplicities as base-(t+1) digits.
+    """
+    return [0] + [(t + 1) ** x for x in range(n)]
+
+
 class _CoverSearch:
     """DFS over words of length k whose k cyclic t-windows cover a target set.
 
     ``fixed`` pins letters at given positions (prefixes, suffixes, anchors).
     ``solutions()`` yields complete words in lexicographic order of the free
-    positions; ``self.nodes`` counts attempted placements.
+    positions; ``self.nodes`` counts attempted placements and is up to date
+    at each yield and once the generator ends, runs out of budget or is
+    closed.
+
+    The target and the windows already used are sets of integer codes:
+    letter x weighs (t+1)^(x-1), a window's code is the sum of its letters'
+    weights (read from a per-position weight list kept next to the word),
+    and its base-(t+1) digits are the letter multiplicities, so the code is
+    one-to-one on t-multisets.  A window that repeats a letter has no code
+    in a subset target and is refused like any other window off the target.
     """
 
     def __init__(
@@ -114,7 +135,6 @@ class _CoverSearch:
 
     def solutions(self) -> Iterator[tuple[Letter, ...]]:
         n, t, k = self.n, self.t, self.k
-        target = self.target
         word: list[Letter] = [0] * k
         for p, v in self.fixed.items():
             if not (0 <= p < k):
@@ -125,37 +145,43 @@ class _CoverSearch:
         free = [p for p in range(k) if p not in self.fixed]
         free_set = set(free)
 
+        # a window's code is the sum of its letters' weights; wt[p] is the
+        # weight of the letter at position p (0 while p is free)
+        weight = _letter_weights(n, t)
+        wt = [weight[v] for v in word]
+        target = {sum(map(weight.__getitem__, key)) for key in self.target}
+
         # Each letter's total use is forced by the target: letter x appears
         # in sum(multiplicities over target keys) window slots, and each of
         # its positions feeds exactly t windows.
-        letter_total: Counter[Letter] = Counter()
-        for key in target:
-            letter_total.update(key)
-        bound = {}
-        for letter in range(1, n + 1):
-            c = letter_total.get(letter, 0)
-            if c % t:
-                return
-            bound[letter] = c // t
-        counts = Counter(v for v in self.fixed.values())
-        if any(counts[letter] > bound[letter] for letter in counts):
+        letter_total = [0] * (n + 1)
+        for key in self.target:
+            for x in key:
+                letter_total[x] += 1
+        if any(c % t for c in letter_total):
+            return
+        bound = [c // t for c in letter_total]
+        counts = [0] * (n + 1)
+        for v in self.fixed.values():
+            counts[v] += 1
+        if any(map(int.__gt__, counts, bound)):
             return
 
         # Window j covers positions j..j+t-1 (mod k).  It is checked at the
         # moment its last free position (in ascending fill order) is placed;
         # fully pinned windows are checked up front.
         trigger: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-        used: set[MultisetKey] = set()
+        used: set[int] = set()
         for j in range(k):
             poss = tuple((j + i) % k for i in range(t))
             fr = [p for p in poss if p in free_set]
             if fr:
                 trigger[max(fr)].append(poss)
             else:
-                key = tuple(sorted(word[p] for p in poss))
-                if key not in target or key in used:
+                code = sum(map(wt.__getitem__, poss))
+                if code not in target or code in used:
                     return
-                used.add(key)
+                used.add(code)
 
         if not free:
             yield tuple(word)
@@ -163,64 +189,69 @@ class _CoverSearch:
 
         m = len(free)
         nxt = [1] * m  # next letter to try at each depth
-        added: list[list[MultisetKey]] = [[] for _ in range(m)]
+        added: list[list[int]] = [[] for _ in range(m)]
         maxu = [0] * m
         symmetric = self.relabel_symmetric
         budget = self.node_budget
         # the pinned prefix already introduced letters 1..prefix_max before
         # any free position, so first-occurrence order starts above them
         base_prev = self.prefix_max
+        # counted in a local and written back before each yield and on the
+        # way out (exhausted, out of budget or closed), where callers read it
+        nodes = self.nodes
         d = 0
-        while d >= 0:
-            p = free[d]
-            if symmetric:
-                prev = maxu[d - 1] if d else base_prev
-                cap = prev + 1 if prev < n else n
-            else:
-                prev = 0
-                cap = n
-            for letter in range(nxt[d], cap + 1):
-                self.nodes += 1
-                if budget is not None and self.nodes > budget:
-                    raise SearchBudgetExceeded(
-                        f"node budget {budget} exhausted", self.nodes
-                    )
-                if counts[letter] < bound[letter]:
-                    word[p] = letter
-                    keys_new: list[MultisetKey] = []
-                    ok = True
-                    for poss in trigger[p]:
-                        key = tuple(sorted(word[q] for q in poss))
-                        if key in used or key not in target:
-                            ok = False
+        try:
+            while d >= 0:
+                p = free[d]
+                if symmetric:
+                    prev = maxu[d - 1] if d else base_prev
+                    cap = prev + 1 if prev < n else n
+                else:
+                    prev = 0
+                    cap = n
+                windows = trigger[p]
+                for letter in range(nxt[d], cap + 1):
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        raise SearchBudgetExceeded(
+                            f"node budget {budget} exhausted", nodes
+                        )
+                    if counts[letter] < bound[letter]:
+                        word[p] = letter
+                        wt[p] = weight[letter]
+                        codes_new: list[int] = []
+                        for poss in windows:
+                            code = sum(map(wt.__getitem__, poss))
+                            if code in used or code not in target:
+                                break
+                            used.add(code)
+                            codes_new.append(code)
+                        else:
+                            counts[letter] += 1
+                            nxt[d] = letter + 1
+                            added[d] = codes_new
+                            if symmetric:
+                                maxu[d] = letter if letter > prev else prev
                             break
-                        used.add(key)
-                        keys_new.append(key)
-                    if ok:
-                        counts[letter] += 1
-                        nxt[d] = letter + 1
-                        added[d] = keys_new
-                        if symmetric:
-                            maxu[d] = letter if letter > prev else prev
-                        break
-                    for key in keys_new:
-                        used.remove(key)
-            else:
-                # no letter fits here: undo the placement one depth up
-                nxt[d] = 1
-                d -= 1
-                if d >= 0:
-                    counts[word[free[d]]] -= 1
-                    for key in added[d]:
-                        used.remove(key)
-                continue
-            if d == m - 1:
-                yield tuple(word)
-                counts[word[p]] -= 1
-                for key in added[d]:
-                    used.remove(key)
-                continue
-            d += 1
+                        if codes_new:
+                            used.difference_update(codes_new)
+                else:
+                    # no letter fits here: undo the placement one depth up
+                    nxt[d] = 1
+                    d -= 1
+                    if d >= 0:
+                        counts[word[free[d]]] -= 1
+                        used.difference_update(added[d])
+                    continue
+                if d == m - 1:
+                    self.nodes = nodes
+                    yield tuple(word)
+                    counts[word[p]] -= 1
+                    used.difference_update(added[d])
+                    continue
+                d += 1
+        finally:
+            self.nodes = nodes
 
 
 def _full_multiset_target(n: int, t: int) -> tuple[MultisetKey, ...]:

@@ -8,7 +8,7 @@ capture that divisibility.  The verifiers report the full evidence (missing
 keys, duplicated keys, letter frequencies) rather than a bare boolean so that
 callers can print actionable diagnostics.
 
-Whether a word passes is decided in three steps, cheapest first:
+Whether a word passes is decided in four steps, cheapest first:
 
 1. its length: a word of any other length than the family's size fails;
 2. its first letter's count: in a ucycle every letter occurs (family
@@ -18,10 +18,14 @@ Whether a word passes is decided in three steps, cheapest first:
    does not divide the family size no count matches, and indeed no ucycle
    exists); one ``tuple.count`` is a fraction of the cost of the windows,
    and it rejects most random words of the right length;
-3. its distinct windows: a word of the family's size with that many
+3. its letter sum: since every letter occurs (family size)/n times, the
+   letters of a ucycle sum to (family size)/n · n(n+1)/2, so a word whose
+   doubled letter sum is not (family size)·(n+1) fails; one ``sum``
+   rejects most of the words whose first letter's count happens to match;
+4. its distinct windows: a word of the family's size with that many
    distinct windows, all members of the family, covers it exactly once.
 
-The first two steps read no window.  The evidence is deferred: a verifier's
+The first three steps read no window.  The evidence is deferred: a verifier's
 report computes ``missing``, ``duplicated`` and ``frequency_table`` when one
 is first read and keeps it, so a caller that reads only ``ok`` pays for these
 steps and nothing more.  A passing word's ``missing`` and ``duplicated`` are
@@ -79,12 +83,13 @@ class VerificationReport:
     ``actual_length``.
 
     A report built by a verifier decides ``ok`` from the word's length, its
-    first letter's count and its distinct windows, and defers ``missing``,
-    ``duplicated`` and ``frequency_table``: each is computed on first access
-    and then kept, so a second access returns the same object.  A passing
-    word's ``missing`` and ``duplicated`` are ``()`` from the start, and its
-    ``frequency_table`` gives every letter (family size)/n without reading
-    the word; a failing word's evidence is computed from the word and ``t``.
+    first letter's count, its letter sum and its distinct windows, and
+    defers ``missing``, ``duplicated`` and ``frequency_table``: each is
+    computed on first access and then kept, so a second access returns the
+    same object.  A passing word's ``missing`` and ``duplicated`` are ``()``
+    from the start, and its ``frequency_table`` gives every letter (family
+    size)/n without reading the word; a failing word's evidence is computed
+    from the word and ``t``.
     Either kind of report compares equal field by field to one constructed
     from its six values.
     """
@@ -205,10 +210,12 @@ def _coverage_detail(
 def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     """Check that the cyclic windows cover every t-multiset of [n] once.
 
-    The decision runs in three steps, each cheaper than the next.  A word of
+    The decision runs in four steps, each cheaper than the next.  A word of
     another length than C(n+t-1, t) fails at once.  A word whose first
     letter does not occur C(n+t-1, t)/n times fails next, still without a
-    window read: every letter of a ucycle occurs that often.  Otherwise,
+    window read: every letter of a ucycle occurs that often.  So does a
+    word whose letters do not sum to C(n+t-1, t)·(n+1)/2, which is what
+    letters 1..n, each that often, sum to.  Otherwise,
     since every window of a :class:`CycleWord` is a t-multiset of [n], the
     word passes when it has that many distinct windows.  The family is
     walked only when a failing report's keys are read.
@@ -221,6 +228,7 @@ def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     ok = (
         t <= len(letters) == expected
         and letters.count(letters[0]) * n == expected
+        and 2 * sum(letters) == expected * (n + 1)
         and len(dict.fromkeys(cyclic_windows(word, t))) == expected
     )
     return VerificationReport._deferred(ok, expected, word, t, False)
@@ -231,9 +239,10 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
 
     Windows must additionally contain t distinct letters; offending windows
     are reported as duplicates of an invalid class.  The decision runs in
-    the same order as for multisets: the length C(n, t), then the first
-    letter's count C(n, t)/n, then a word with that many distinct windows,
-    none repeating a letter, passes without a walk of the family.
+    the same four steps as for multisets: the length C(n, t), then the
+    first letter's count C(n, t)/n, then the letter sum C(n, t)·(n+1)/2,
+    then a word with that many distinct windows, none repeating a letter,
+    passes without a walk of the family.
     """
     if t < 1:
         raise ValueError("window size must be positive")
@@ -243,6 +252,7 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     ok = (
         t <= len(letters) == expected
         and letters.count(letters[0]) * n == expected
+        and 2 * sum(letters) == expected * (n + 1)
         and len(dict.fromkeys(cyclic_windows(word, t))) == expected
         # a window repeats a letter exactly when two letters fewer than t
         # apart, cyclically, are equal

@@ -129,3 +129,25 @@ DISTINCT_CLASSES_3_2 = 1
 # replaced (every letter after the run of ones, no relabeling pruning).
 COUNT_NODES = {(4, 3): 24302, (5, 2): 19565}
 UNSYMMETRIC_COUNT_NODES = {(4, 3): 145812, (5, 2): 469240}
+
+# count_distinct(n, t).as_text(): the class counts, exhaustion and nodes.
+COUNT_AS_TEXT = {(4, 3): "4 3 2 2 true 24302", (3, 7): "3 7 0 0 true 35577"}
+
+# the same under a per-branch node budget, keyed by (n, t, budget): a branch
+# that runs out adds budget + 1 nodes.
+BUDGETED_COUNT_AS_TEXT = {
+    (4, 3, 5000): "4 3 2 2 false 10002",
+    (5, 3, 1000): "5 3 0 0 false 2002",
+}
+
+# witness searches that run out of budget: (kind, n, t, required prefix,
+# budget).  Each stops at the first node past its budget, so the error's
+# ``nodes`` is budget + 1.
+BUDGET_STOPS = (
+    ("multiset", 5, 4, (), 100_000),
+    ("subset", 7, 3, (4, 5), 5_000),
+)
+
+# _CoverSearch.nodes after the first solution of an unconstrained request
+# that falls back from the Euler fast path: (kind, n, t) -> nodes.
+FIRST_SOLUTION_NODES = {("multiset", 4, 3): 575, ("subset", 7, 3): 17789}

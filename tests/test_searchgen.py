@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from ucycles.searchgen import (
     _euler_block3,
     _full_multiset_target,
     _gap_classes,
+    _letter_weights,
     _unroll_circuit,
     count_distinct,
     find_multiset_ucycle,
@@ -34,10 +35,14 @@ from ucycles.verify import (
 )
 
 from goldens import (
+    BUDGET_STOPS,
+    BUDGETED_COUNT_AS_TEXT,
+    COUNT_AS_TEXT,
     COUNT_NODES,
     DISTINCT_CLASSES_3_2,
     DISTINCT_CLASSES_4_3,
     EULER_SHA256,
+    FIRST_SOLUTION_NODES,
     UNSYMMETRIC_COUNT_NODES,
     WITNESS_SHA256,
 )
@@ -396,6 +401,65 @@ class TestRelabelSymmetryGuard:
         kept = set(on.solutions())
         assert kept == {w for w in everything if first_occurrence_ordered(w)}
         assert on.nodes <= off.nodes
+
+
+class TestNodePins:
+    """Frozen node counts: whole counts, budget stops and first solutions."""
+
+    @pytest.mark.parametrize("n, t", sorted(COUNT_AS_TEXT))
+    def test_count_as_text(self, n, t):
+        assert count_distinct(n, t).as_text() == COUNT_AS_TEXT[n, t]
+
+    @pytest.mark.parametrize("kind, n, t, prefix, budget", BUDGET_STOPS)
+    def test_budget_stops_one_node_past(self, kind, n, t, prefix, budget):
+        generate = generate_subset_ucycle if kind == "subset" else find_multiset_ucycle
+        c = SearchConstraints(required_prefix=prefix, node_budget=budget)
+        with pytest.raises(SearchBudgetExceeded, match=f"^node budget {budget} exhausted$") as info:
+            generate(n, t, c)
+        assert info.value.nodes == budget + 1
+
+    @pytest.mark.parametrize("kind, n, t", sorted(FIRST_SOLUTION_NODES))
+    def test_nodes_after_first_solution(self, monkeypatch, kind, n, t):
+        made = []
+
+        class RecordingSearch(_CoverSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("ucycles.searchgen._CoverSearch", RecordingSearch)
+        generate = generate_subset_ucycle if kind == "subset" else find_multiset_ucycle
+        generate(n, t)
+        assert [search.nodes for search in made] == [FIRST_SOLUTION_NODES[kind, n, t]]
+
+    @pytest.mark.parametrize("n, t, budget", sorted(BUDGETED_COUNT_AS_TEXT))
+    def test_budgeted_count_as_text(self, n, t, budget):
+        # a branch reads its search's nodes after the budget error
+        assert count_distinct(n, t, budget=budget).as_text() == BUDGETED_COUNT_AS_TEXT[n, t, budget]
+
+    def test_nodes_kept_when_the_generator_is_closed(self):
+        search = _CoverSearch(3, 2, _full_multiset_target(3, 2), {0: 1, 1: 1}, None)
+        words = search.solutions()
+        next(words)
+        first = search.nodes
+        words.close()
+        assert search.nodes == first > 0
+
+
+class TestWindowCodes:
+    """A window's code, the sum of its letters' weights, tells t-multisets apart."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_injective_on_small_alphabets(self, n, t):
+        weight = _letter_weights(n, t)
+        keys = list(combinations_with_replacement(range(1, n + 1), t))
+        assert len({sum(weight[x] for x in key) for key in keys}) == len(keys)
+
+    def test_injective_at_100(self):
+        weight = _letter_weights(100, 3)
+        codes = {weight[a] + weight[b] + weight[c] for a, b, c in _full_multiset_target(100, 3)}
+        assert len(codes) == math.comb(102, 3)
 
 
 class TestEnumeration:

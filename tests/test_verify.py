@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucycles.core import CycleWord, cyclic_windows, relabel
@@ -32,8 +32,8 @@ from goldens import (
 
 # Reference verifiers: sorted slices for the windows, the whole family walked
 # for every word.  The library decides ``ok`` from the length, the first
-# letter's count and the distinct windows, and must report exactly what these
-# do.
+# letter's count, the letter sum and the distinct windows, and must report
+# exactly what these do.
 
 
 def _ref_windows(word, t):
@@ -345,11 +345,13 @@ def _reads_windows(verify, word, t):
 
 
 class TestLetterCountStep:
-    """After the length and before the windows, the first letter's count decides.
+    """After the length and before the windows, the first letter's count and
+    the letter sum decide.
 
     Every letter of a ucycle occurs (family size)/n times, so a word of the
-    family's length whose first letter occurs any other number of times
-    fails without a window read.  The reports match the reference anyway.
+    family's length whose first letter occurs any other number of times, or
+    whose letters do not sum to (family size)·(n+1)/2, fails without a window
+    read.  The reports match the reference anyway.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -389,15 +391,61 @@ class TestLetterCountStep:
         known = known_ucycles[index]
         letters = list(known.letters)
         first = letters[0]
-        # turn one occurrence of a second letter into a third: the first
-        # letter's count stays right, those two are off by one
-        i = next(i for i, x in enumerate(letters) if x != first)
-        letters[i] = next(x for x in range(1, known.alphabet_size + 1) if x not in (first, letters[i]))
+        # raise one b to b+1 and lower one c to c-1: the first letter's count
+        # and the letter sum stay right while other letters are miscounted
+        # (b+1 != c, so the two edits are not a swap)
+        others = set(range(1, known.alphabet_size + 1)) - {first}
+        b, c = next(
+            (b, c)
+            for b in sorted(others)
+            for c in sorted(others)
+            if {b + 1, c - 1} <= others and b + 1 != c
+        )
+        i = letters.index(b)
+        j = next(j for j, x in enumerate(letters) if x == c and j != i)
+        letters[i], letters[j] = b + 1, c - 1
+        assert letters.count(first) == known.letters.count(first)
+        assert sum(letters) == sum(known.letters)
         word = CycleWord(known.alphabet_size, tuple(letters))
         assert_same_reports(word, 3)
         verify = _own_verifier(known, 3)
         assert not verify(word, 3).ok
         assert _reads_windows(verify, word, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [
+                (4, 3, math.comb(6, 3), verify_multiset_ucycle),
+                (5, 2, math.comb(6, 2), verify_multiset_ucycle),
+                (8, 3, math.comb(8, 3), verify_subset_ucycle),
+                (7, 3, math.comb(7, 3), verify_subset_ucycle),
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_wrong_letter_sum_reads_no_window(self, case, data):
+        # the first letter occurs (family size)/n times, the others anyhow
+        n, t, expected, verify = case
+        per = expected // n
+        first = data.draw(st.integers(min_value=1, max_value=n))
+        rest = data.draw(
+            st.lists(
+                st.integers(min_value=1, max_value=n).filter(lambda x: x != first),
+                min_size=expected - per,
+                max_size=expected - per,
+            )
+        )
+        tail = [first] * (per - 1) + rest
+        data.draw(st.randoms(use_true_random=False)).shuffle(tail)
+        letters = (first, *tail)
+        assume(2 * sum(letters) != expected * (n + 1))
+        word = CycleWord(n, letters)
+        assert len(word) == verify(word, t).expected_length
+        assert letters.count(first) * n == expected
+        assert_same_reports(word, t)
+        assert not verify(word, t).ok
+        assert not _reads_windows(verify, word, t)
 
     @settings(max_examples=60, deadline=None)
     @given(
