@@ -5,14 +5,7 @@ search and distinct-class counting, plus a small CLI
 (``python -m ucycles`` or the ``ucycles`` script).
 """
 
-from .core import (
-    CanonicalClass,
-    CycleWord,
-    canonicalize,
-    cyclic_windows,
-    linear_windows,
-    relabel,
-)
+from .core import CanonicalClass, CycleWord, canonicalize, cyclic_windows
 from .doubling import (
     AnchorPermutation,
     DoublingError,
@@ -71,12 +64,10 @@ __all__ = [
     "find_multiset_ucycle",
     "format_ucy",
     "generate_subset_ucycle",
-    "linear_windows",
     "load_ucy",
     "pair_index",
     "parse_ucy",
     "provenance_report",
-    "relabel",
     "save_ucy",
     "verify_multiset_ucycle",
     "verify_subset_ucycle",

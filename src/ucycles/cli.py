@@ -8,9 +8,10 @@ class).  Machine-readable payloads go to stdout, diagnostics to stderr.
 Exit codes: 0 success; 1 verification failed or search infeasible, or the
 reader of stdout closed it before the output was written (the command then
 stops without a traceback); 2 usage error or inadmissible parameters; 3 node
-budget exhausted.  The environment variable ``UCYCLE_BUDGET`` overrides the
-default node budget when ``--budget`` is absent.  A budget bounds only the
-search-backed routes; the inductive construction searches nothing.
+budget exhausted.  ``--budget`` is the one way to change a node budget, and it
+bounds only the search-backed routes; the inductive construction searches
+nothing.  Each constructed route checks its own preconditions on n and
+raises; ``gen`` reports the refusal as a usage error.
 """
 
 from __future__ import annotations
@@ -48,26 +49,12 @@ EXIT_BUDGET = 3
 MAX_REPORT_ITEMS = 50
 
 
-def _env_budget() -> int | None:
-    raw = os.environ.get("UCYCLE_BUDGET")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise InadmissibleError(f"UCYCLE_BUDGET must be a positive integer, got {raw!r}")
-    return value
-
-
 def _pick_budget(flag_value: int | None, default: int) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise InadmissibleError(f"--budget must be a positive integer, got {flag_value}")
-        return flag_value
-    env = _env_budget()
-    return env if env is not None else default
+    if flag_value is None:
+        return default
+    if flag_value < 1:
+        raise InadmissibleError(f"--budget must be a positive integer, got {flag_value}")
+    return flag_value
 
 
 def _auto_method(n: int, t: int) -> str:
@@ -110,36 +97,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if not admissible_multiset(n, t):
         print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)
         return EXIT_USAGE
+    if method != "search" and t != 3:
+        return _usage_error(f"the {method} method builds words for t=3 only")
     provenance: str | None = None
     try:
         if method == "inductive":
-            if t != 3 or n % 3 != 1 or n < 4:
-                print("the inductive method needs t=3 and n = 3k+1 >= 4", file=sys.stderr)
-                return EXIT_USAGE
             word = construct_inductive(n)
             provenance = provenance_report(n)
         elif method == "doubling":
-            if t != 3 or n % 2 or n % 3 == 0 or n < 8:
-                print(
-                    "the doubling method needs t=3 and even n >= 8 not divisible by 3",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
             subset_cycle = None
             if args.subset_input:
                 try:
-                    subset_word, subset_t = load_ucy(args.subset_input)
+                    subset_cycle, subset_t = load_ucy(args.subset_input)
                 except OSError as exc:
                     return _usage_error(str(exc))
                 if subset_t != 3:
-                    print("subset input must carry t=3", file=sys.stderr)
-                    return EXIT_USAGE
-                subset_cycle = subset_word
+                    return _usage_error("subset input must carry t=3")
             word = construct_doubling(n, subset_cycle, budget)
-        elif method == "search":
+        else:
             word = find_multiset_ucycle(n, t, SearchConstraints(node_budget=budget))
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_USAGE
     except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -211,12 +187,6 @@ def cmd_count(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     result = count_distinct(n, t, budget=budget, workers=args.workers)
     print(result.as_text())
-    if args.reflect:
-        print(
-            f"{result.count_rot_relabel} classes up to rotation+relabeling; "
-            f"{result.count_also_reflect} when reflections are folded",
-            file=sys.stderr,
-        )
     if not result.exhausted:
         print("budget exhausted before full enumeration", file=sys.stderr)
         return EXIT_BUDGET
@@ -261,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--t", type=int, required=True)
     p_count.add_argument("--budget", type=int, help="per-branch node budget")
-    p_count.add_argument(
-        "--reflect",
-        action="store_true",
-        help="also summarize the reflection-folded count on stderr",
-    )
     p_count.add_argument("--workers", type=int, help="parallelize over this many processes")
     p_count.add_argument(
         "--list",

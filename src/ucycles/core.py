@@ -1,11 +1,11 @@
 """Cyclic words over an integer alphabet, their windows, and their symmetries.
 
 A cycle word is a finite sequence of letters drawn from ``1..alphabet_size``.
-It can be read cyclically (length-t windows wrap past the end, one window per
-position) or linearly (windows stop at the end).  Windows are compared as
-multisets and encoded as sorted tuples.  The windows are read off shifted
-copies of the word with ``zip``; for t = 2 and t = 3 each one is put in order
-by compare-and-swap instead of a call to ``sorted``.
+It is read cyclically: length-t windows wrap past the end, one window per
+position.  Windows are compared as multisets and encoded as sorted tuples.
+They are read off shifted copies of the word with ``zip``; for t = 2 and
+t = 3 each one is put in order by compare-and-swap instead of a call to
+``sorted``.
 
 A universal cycle for a family of t-multisets is a cycle word whose cyclic
 windows enumerate the family exactly once; this module supplies the raw
@@ -16,7 +16,6 @@ holds the actual coverage checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 Letter = int
 MultisetKey = tuple[Letter, ...]
@@ -61,23 +60,15 @@ class CycleWord:
     def reflected(self) -> "CycleWord":
         return CycleWord(self.alphabet_size, self.letters[::-1])
 
-    def concat(self, other: "CycleWord") -> "CycleWord":
-        """Concatenation over the union alphabet (the larger of the two)."""
-        return CycleWord(
-            max(self.alphabet_size, other.alphabet_size),
-            self.letters + other.letters,
-        )
 
-
-def _check_window(word: CycleWord, t: int) -> None:
+def cyclic_windows(word: CycleWord, t: int) -> list[MultisetKey]:
+    """All length-t windows read cyclically: one per starting position."""
     if t < 1:
         raise ValueError("window size must be positive")
-    if len(word.letters) < t:
+    ls = word.letters
+    if len(ls) < t:
         raise ValueError("word shorter than window")
-
-
-def _sorted_windows(seq: tuple[Letter, ...], t: int) -> list[MultisetKey]:
-    """Sorted keys of the windows starting at ``0..len(seq) - t``."""
+    seq = ls + ls[: t - 1]
     shifted = [seq[i:] for i in range(t)]
     if t == 3:
         # the six orders of (a, b, c); equal letters keep their order, as in
@@ -91,43 +82,6 @@ def _sorted_windows(seq: tuple[Letter, ...], t: int) -> list[MultisetKey]:
     if t == 2:
         return [(a, b) if a <= b else (b, a) for a, b in zip(*shifted)]
     return [tuple(sorted(w)) for w in zip(*shifted)]
-
-
-def cyclic_windows(word: CycleWord, t: int) -> list[MultisetKey]:
-    """All length-t windows read cyclically: one per starting position."""
-    _check_window(word, t)
-    ls = word.letters
-    return _sorted_windows(ls + ls[: t - 1], t)
-
-
-def linear_windows(word: CycleWord, t: int) -> list[MultisetKey]:
-    """Length-t windows without wraparound (``len(word) - t + 1`` of them)."""
-    _check_window(word, t)
-    return _sorted_windows(word.letters, t)
-
-
-def relabel(
-    word: CycleWord,
-    mapping: Mapping[Letter, Letter],
-    alphabet_size: int | None = None,
-) -> CycleWord:
-    """Characterwise letter substitution.
-
-    Letters absent from ``mapping`` pass through unchanged.  The effective
-    substitution must be injective on the letters that occur, and every output
-    letter must fit the target alphabet (``alphabet_size`` defaults to the
-    input's).  Length is always preserved.
-    """
-    n_out = word.alphabet_size if alphabet_size is None else alphabet_size
-    occurring = set(word.letters)
-    effective = {x: mapping.get(x, x) for x in occurring}
-    if len(set(effective.values())) != len(effective):
-        raise ValueError("relabeling collides on letters that occur in the word")
-    out = tuple(effective[x] for x in word.letters)
-    for y in out:
-        if not (1 <= y <= n_out):
-            raise ValueError(f"relabeled letter {y} out of range 1..{n_out}")
-    return CycleWord(n_out, out)
 
 
 @dataclass(frozen=True)

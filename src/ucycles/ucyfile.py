@@ -11,6 +11,8 @@ table is built only when n is at most the word's length, so a huge header
 over a short word allocates nothing of size n.  A word line holding any
 other token (``+3``, ``03``, ``0``, ``x``, a letter above n) is read by
 ``int``, so it parses, or fails, exactly as it would without the table.
+A letter of an int subclass (a bool, which ``CycleWord`` accepts) is
+written as its int, so every word the library accepts reads back.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ def format_ucy(word: CycleWord, t: int) -> str:
     if t < 1:
         raise ValueError("window size must be positive")
     n, letters = word.alphabet_size, word.letters
-    # a letter of an int subclass (a bool, say) keeps its own str
-    if n <= len(letters) and set(map(type, letters)) == {int}:
+    if n <= len(letters):
         names = [str(x) for x in range(n + 1)]
         body = " ".join(map(names.__getitem__, letters))
     else:
-        body = " ".join(map(str, letters))
+        body = " ".join(map(str, map(int, letters)))
     return f"{n} {t}\n{body}\n"
 
 

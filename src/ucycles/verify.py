@@ -247,7 +247,7 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     if t < 1:
         raise ValueError("window size must be positive")
     n = word.alphabet_size
-    expected = math.comb(n, t) if n >= t else 0
+    expected = math.comb(n, t)
     letters = word.letters
     ok = (
         t <= len(letters) == expected

@@ -151,3 +151,24 @@ BUDGET_STOPS = (
 # _CoverSearch.nodes after the first solution of an unconstrained request
 # that falls back from the Euler fast path: (kind, n, t) -> nodes.
 FIRST_SOLUTION_NODES = {("multiset", 4, 3): 575, ("subset", 7, 3): 17789}
+
+# exit codes of in-process `gen --method M --n N --t T --budget 20000`, keyed
+# by (M, T); the i-th character is the code for n = i + 1, n = 1..20.
+GEN_EXIT_CODES = {
+    ("inductive", 1): "22222222222222222222",
+    ("inductive", 2): "22222222222222222222",
+    ("inductive", 3): "22202202202202202202",
+    ("inductive", 4): "22222222222222222222",
+    ("doubling", 1): "22222222222222222222",
+    ("doubling", 2): "22222222222222222222",
+    ("doubling", 3): "22222220202220202220",
+    ("doubling", 4): "22222222222222222222",
+    ("search", 1): "00000000000000000000",
+    ("search", 2): "12020202020202020202",
+    ("search", 3): "11200200200200200200",
+    ("search", 4): "12123332323233323232",
+    ("auto", 1): "00000000000000000000",
+    ("auto", 2): "12020202020202020202",
+    ("auto", 3): "11200200200200200200",
+    ("auto", 4): "12123332323233323232",
+}

@@ -8,7 +8,6 @@ Exit code contract: 0 success, 1 verification failed or infeasible,
 import contextlib
 import io
 import math
-import os
 import subprocess
 import sys
 import time
@@ -22,18 +21,14 @@ from ucycles.core import CycleWord
 from ucycles.searchgen import generate_subset_ucycle
 from ucycles.ucyfile import save_ucy
 
-from goldens import BASE_WORD_4
+from goldens import BASE_WORD_4, GEN_EXIT_CODES
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "ucycles", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=240,
     )
 
@@ -81,20 +76,6 @@ class TestGen:
         assert r.returncode == 3
         assert "budget" in r.stderr
 
-    def test_env_budget(self):
-        r = run_cli(
-            "gen", "--n", "13", "--t", "3", "--method", "search",
-            env_extra={"UCYCLE_BUDGET": "100"},
-        )
-        assert r.returncode == 3
-
-    def test_env_budget_malformed(self):
-        r = run_cli(
-            "gen", "--n", "13", "--t", "3", "--method", "search",
-            env_extra={"UCYCLE_BUDGET": "lots"},
-        )
-        assert r.returncode == 2
-
     def test_round_trip_with_verify(self, tmp_path):
         out = tmp_path / "w.ucy"
         r = run_cli("gen", "--n", "7", "--t", "3", "--method", "auto", "--out", str(out))
@@ -116,6 +97,9 @@ class TestUsageErrors:
                 "gen", "--n", "8", "--t", "3", "--method", "doubling",
                 "--subset-input", "/nonexistent/x.ucy",
             ),
+            # the constructions refuse an n outside their preconditions
+            ("gen", "--n", "8", "--t", "3", "--method", "inductive"),
+            ("gen", "--n", "13", "--t", "3", "--method", "doubling"),
         ],
     )
     def test_one_line_error(self, argv):
@@ -179,6 +163,19 @@ class TestExitCodeContract:
         path = tmp_path_factory.mktemp("ucy") / "random.ucy"
         path.write_text("\n".join(lines) + "\n")
         assert _run_in_process(["verify", "--input", str(path), "--kind", kind]) in (0, 1, 2)
+
+    def test_gen_exit_code_grid(self):
+        got = {
+            (method, t): "".join(
+                str(_run_in_process([
+                    "gen", "--method", method, "--n", str(n), "--t", str(t),
+                    "--budget", "20000",
+                ]))
+                for n in range(1, 21)
+            )
+            for method, t in GEN_EXIT_CODES
+        }
+        assert got == GEN_EXIT_CODES
 
 
 class TestAutoMethod:
@@ -311,11 +308,6 @@ class TestCount:
         r = run_cli("count", "--n", "5", "--t", "3", "--budget", "1000", "--list")
         assert r.returncode == 3
         assert len(r.stdout.splitlines()) == 1
-
-    def test_reflect_flag(self):
-        r = run_cli("count", "--n", "3", "--t", "2", "--reflect")
-        assert r.returncode == 0
-        assert "reflections" in r.stderr
 
 
 def test_usage_error_without_subcommand():

@@ -1,16 +1,10 @@
-"""Cycle-word primitives: construction, windows, relabeling, canonical forms."""
+"""Cycle-word primitives: construction, windows, canonical forms."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ucycles.core import (
-    CycleWord,
-    canonicalize,
-    cyclic_windows,
-    linear_windows,
-    relabel,
-)
+from ucycles.core import CycleWord, canonicalize, cyclic_windows
 
 from goldens import BASE_WORD_4
 
@@ -27,10 +21,6 @@ def ref_cyclic_windows(letters, t):
     """The definition: every cyclic slice of length t, sorted."""
     doubled = letters + letters[: t - 1]
     return [tuple(sorted(doubled[i : i + t])) for i in range(len(letters))]
-
-
-def ref_linear_windows(letters, t):
-    return [tuple(sorted(letters[i : i + t])) for i in range(len(letters) - t + 1)]
 
 
 def ref_canonical(letters):
@@ -81,11 +71,6 @@ class TestCycleWord:
     def test_reflected(self):
         assert CycleWord(3, (1, 2, 3)).reflected().letters == (3, 2, 1)
 
-    def test_concat_takes_union_alphabet(self):
-        w = CycleWord(3, (1, 2)).concat(CycleWord(5, (5, 4)))
-        assert w.alphabet_size == 5
-        assert w.letters == (1, 2, 5, 4)
-
 
 class TestWindows:
     def test_cyclic_windows_wrap(self):
@@ -96,14 +81,9 @@ class TestWindows:
         w = CycleWord(4, (3, 1, 3, 2))
         assert cyclic_windows(w, 3) == [(1, 3, 3), (1, 2, 3), (2, 3, 3), (1, 2, 3)]
 
-    def test_linear_windows_no_wrap(self):
-        w = CycleWord(3, (1, 2, 3))
-        assert linear_windows(w, 2) == [(1, 2), (2, 3)]
-
     def test_window_count_matches_length(self):
         w = CycleWord(4, BASE_WORD_4)
         assert len(cyclic_windows(w, 3)) == len(w)
-        assert len(linear_windows(w, 3)) == len(w) - 2
 
     @pytest.mark.parametrize("t", [0, -1])
     def test_rejects_nonpositive_window(self, t):
@@ -112,7 +92,7 @@ class TestWindows:
 
     def test_rejects_word_shorter_than_window(self):
         with pytest.raises(ValueError):
-            linear_windows(CycleWord(2, (1, 2)), 3)
+            cyclic_windows(CycleWord(2, (1, 2)), 3)
 
 
     @settings(max_examples=150, deadline=None)
@@ -123,13 +103,11 @@ class TestWindows:
         assume(t <= len(letters))
         w = CycleWord(n, letters)
         assert cyclic_windows(w, t) == ref_cyclic_windows(letters, t)
-        assert linear_windows(w, t) == ref_linear_windows(letters, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
     def test_known_ucycles_match_the_definition(self, known_ucycles, t):
         for w in known_ucycles:
             assert cyclic_windows(w, t) == ref_cyclic_windows(w.letters, t)
-            assert linear_windows(w, t) == ref_linear_windows(w.letters, t)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_equal_letters_keep_their_order(self, t):
@@ -137,35 +115,6 @@ class TestWindows:
         letters = (True, 1, 2, 1, True, 3, True)
         for got, want in zip(cyclic_windows(CycleWord(3, letters), t), ref_cyclic_windows(letters, t)):
             assert [type(x) for x in got] == [type(x) for x in want]
-
-
-class TestRelabel:
-    def test_swap(self):
-        w = relabel(CycleWord(4, BASE_WORD_4), {1: 2, 2: 1})
-        assert w.letters[:6] == (2, 2, 2, 4, 4, 4)
-        assert len(w) == len(BASE_WORD_4)
-
-    def test_absent_letters_pass_through(self):
-        w = relabel(CycleWord(3, (1, 2, 3)), {1: 3, 3: 1})
-        assert w.letters == (3, 2, 1)
-
-    def test_alphabet_growth(self):
-        w = relabel(CycleWord(3, (1, 2, 3)), {3: 6}, alphabet_size=6)
-        assert w.alphabet_size == 6
-        assert w.letters == (1, 2, 6)
-
-    def test_collision_rejected(self):
-        with pytest.raises(ValueError):
-            relabel(CycleWord(3, (1, 2, 3)), {1: 2})
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            relabel(CycleWord(3, (1, 2, 3)), {3: 4})
-
-    def test_collision_outside_word_is_fine(self):
-        # mapping collides only on a letter that never occurs
-        w = relabel(CycleWord(5, (1, 2, 1)), {2: 3, 4: 3})
-        assert w.letters == (1, 3, 1)
 
 
 class TestCanonicalize:
@@ -184,7 +133,7 @@ class TestCanonicalize:
         w = CycleWord(n, tuple(letters))
         perm = list(range(1, n + 1))
         rnd.shuffle(perm)
-        other = relabel(w.rotate(off), dict(zip(range(1, n + 1), perm)))
+        other = CycleWord(n, tuple(perm[x - 1] for x in w.rotate(off).letters))
         assert (
             canonicalize(w).representative.letters
             == canonicalize(other).representative.letters

@@ -168,10 +168,16 @@ class TestNameTables:
         )
     )
     def test_format_agrees_with_str(self, nw):
-        # a bool letter is a letter 1 that keeps its own str
+        # a bool letter is a letter 1, written as its int
         n, letters = nw
         word = CycleWord(n, tuple(letters))
-        assert format_ucy(word, 3) == f"{n} 3\n{' '.join(map(str, letters))}\n"
+        assert format_ucy(word, 3) == f"{n} 3\n{' '.join(str(int(x)) for x in letters)}\n"
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_bool_letter_round_trips(self, n):
+        # n = 3 is at most the word's length (the name table), n = 8 above it
+        word = CycleWord(n, (True, 2, 2, 1, 3))
+        assert parse_ucy(format_ucy(word, 3))[0].letters == tuple(map(int, word.letters))
 
     def test_huge_header_allocates_no_table(self):
         # in a child process whose address space is capped, so that a table
