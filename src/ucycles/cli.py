@@ -143,10 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         word, t = load_ucy(args.input)
     except (OSError, UcyFormatError) as exc:
         return _usage_error(str(exc))
-    if args.kind == "multiset":
-        report = verify_multiset_ucycle(word, t)
-    else:
-        report = verify_subset_ucycle(word, t)
+    report = (verify_subset_ucycle if args.kind == "subset" else verify_multiset_ucycle)(word, t)
     print(f"kind: {args.kind}")
     print(f"n: {word.alphabet_size}")
     print(f"t: {t}")

@@ -1,13 +1,15 @@
 """Witness search, the gap-digraph Euler construction, counting.
 
-The backtracking engines solve one kind of exact-cover problem: place letters
-so that every window lands on a distinct member of a target key collection
-and the whole collection is consumed, wrap windows included.
+The backtracking engine solves one kind of exact-cover problem: place letters
+so that every window lands on a distinct member of the t-subsets or
+t-multisets of [n] (the families ``verify`` defines) and the whole family is
+consumed, wrap windows included.
 
-Unconstrained t=3 requests (with 3 not dividing n) first take a fast path
-that builds a shift-symmetric word instead of searching letter by letter.  A
-block w of length (family size)/n is unrolled into n copies w + i*s (mod n);
-the block's cyclic gaps turn each window into an edge of a digraph on Z_n,
+Unconstrained t=3 requests (admissible only when 3 does not divide n) first
+take a fast path that builds a shift-symmetric word instead of searching
+letter by letter.  A block w of length (family size)/n is unrolled into n
+copies w + i*s (mod n); the block's cyclic gaps turn each window into an
+edge of a digraph on Z_n,
 each shift-orbit of 3-sets or 3-multisets into a class of at most 6 such
 edges, and the block into an Euler circuit through one edge per class.  The
 edges come in mirror pairs, so a balanced pick is built rather than searched
@@ -17,16 +19,13 @@ Euler-circuit method of Chung, Diaconis and Graham (1992) and Jackson
 witness search runs with what is left of the node budget.
 
 The witness search is one depth-first pass that tries letters in ascending
-order.  It prunes only by the pinned positions, by each letter's total count
-(forced by the target) and, when the only pins are an anchor at the front
-(unpinned requests and counting branches), by first-occurrence order of the
-letters.  For t=2 a ucycle is an Euler circuit
+order.  It prunes only by the pinned positions, by each letter's count
+((family size)/n, forced by the family) and, when the only pins are an
+anchor at the front (unpinned requests and counting branches), by
+first-occurrence order of the letters.  For t=2 a ucycle is an Euler circuit
 of the complete graph on [n] (with loops for multisets), and the ascending
 pass finds one at once.  Windows are held as integer codes, not sorted
-tuples: letter x weighs (t+1)^(x-1) and a window's code is the sum of its
-letters' weights.  The code's base-(t+1) digits are the window's letter
-multiplicities, each at most t, so every t-multiset has its own code, and
-a window is coded by summing t weights with no sort.
+tuples (see ``_CoverSearch``).
 
 Everything is deterministic: identical inputs always yield identical outputs
 and node counts.  A node is one attempted letter placement, or in the Euler
@@ -40,12 +39,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import permutations
 from typing import Iterator, Sequence
 
-from .core import CycleWord, Letter, MultisetKey, canonicalize
+from .core import CycleWord, Letter, canonicalize
 from .verify import (
     InadmissibleError,
+    _family,
+    _family_size,
     admissible_multiset,
     admissible_subset,
     verify_multiset_ucycle,
@@ -62,6 +63,9 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, message: str, nodes: int):
         super().__init__(message)
         self.nodes = nodes
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.nodes)
 
 
 class SearchInfeasible(RuntimeError):
@@ -87,7 +91,10 @@ def _letter_weights(n: int, t: int) -> list[int]:
 
 
 class _CoverSearch:
-    """DFS over words of length k whose k cyclic t-windows cover a target set.
+    """DFS over words whose cyclic t-windows cover ``verify._family(n, t, distinct)``.
+
+    Every letter occurs (family size)/n times, so when n does not divide
+    the family size there is no word.
 
     ``fixed`` pins letters at given positions (prefixes, suffixes, anchors).
     ``solutions()`` yields complete words in lexicographic order of the free
@@ -95,33 +102,34 @@ class _CoverSearch:
     at each yield and once the generator ends, runs out of budget or is
     closed.
 
-    The target and the windows already used are sets of integer codes:
+    The family and the windows already used are sets of integer codes:
     letter x weighs (t+1)^(x-1), a window's code is the sum of its letters'
     weights (read from a per-position weight list kept next to the word),
     and its base-(t+1) digits are the letter multiplicities, so the code is
     one-to-one on t-multisets.  A window that repeats a letter has no code
-    in a subset target and is refused like any other window off the target.
+    among the subsets and is refused like any other window off the family.
     """
 
     def __init__(
         self,
         n: int,
         t: int,
-        target_keys: Sequence[MultisetKey],
+        distinct: bool,
         fixed: dict[int, Letter],
         node_budget: int | None,
         relabel_symmetric: bool = False,
     ):
         self.n = n
         self.t = t
-        self.k = len(target_keys)
-        self.target = frozenset(target_keys)
+        self.distinct = distinct
+        self.k = _family_size(n, t, distinct)
         self.fixed = dict(fixed)
         self.node_budget = node_budget
-        # Valid only when the target is closed under letter permutation and
-        # pinning does not break first-occurrence order: the pins must be a
-        # leading prefix (possibly empty) whose letters already appear in
-        # first-occurrence order, such as a rotation anchor 1..1 or 1..1 2 x.
+        # The family is closed under letter permutation, so this is valid
+        # when pinning does not break first-occurrence order: the pins must
+        # be a leading prefix (possibly empty) whose letters already appear
+        # in first-occurrence order, such as a rotation anchor 1..1 or
+        # 1..1 2 x.
         # Then some witness introduces letters in first-occurrence order, so
         # children above max_used+1 can be skipped, where max_used starts at
         # the prefix's largest letter.
@@ -137,35 +145,26 @@ class _CoverSearch:
         n, t, k = self.n, self.t, self.k
         word: list[Letter] = [0] * k
         for p, v in self.fixed.items():
-            if not (0 <= p < k):
-                raise ValueError("fixed position out of range")
-            if not (1 <= v <= n):
-                raise ValueError("fixed letter out of range")
             word[p] = v
         free = [p for p in range(k) if p not in self.fixed]
         free_set = set(free)
+
+        # By symmetry every letter fills t·k/n window slots, and each of its
+        # positions feeds exactly t windows: it occurs k/n times.
+        if k % n:
+            return
+        bound = k // n
+        counts = [0] * (n + 1)
+        for v in self.fixed.values():
+            counts[v] += 1
+        if max(counts) > bound:
+            return
 
         # a window's code is the sum of its letters' weights; wt[p] is the
         # weight of the letter at position p (0 while p is free)
         weight = _letter_weights(n, t)
         wt = [weight[v] for v in word]
-        target = {sum(map(weight.__getitem__, key)) for key in self.target}
-
-        # Each letter's total use is forced by the target: letter x appears
-        # in sum(multiplicities over target keys) window slots, and each of
-        # its positions feeds exactly t windows.
-        letter_total = [0] * (n + 1)
-        for key in self.target:
-            for x in key:
-                letter_total[x] += 1
-        if any(c % t for c in letter_total):
-            return
-        bound = [c // t for c in letter_total]
-        counts = [0] * (n + 1)
-        for v in self.fixed.values():
-            counts[v] += 1
-        if any(map(int.__gt__, counts, bound)):
-            return
+        target = {sum(map(weight.__getitem__, key)) for key in _family(n, t, self.distinct)}
 
         # Window j covers positions j..j+t-1 (mod k).  It is checked at the
         # moment its last free position (in ascending fill order) is placed;
@@ -216,7 +215,7 @@ class _CoverSearch:
                         raise SearchBudgetExceeded(
                             f"node budget {budget} exhausted", nodes
                         )
-                    if counts[letter] < bound[letter]:
+                    if counts[letter] < bound:
                         word[p] = letter
                         wt[p] = weight[letter]
                         codes_new: list[int] = []
@@ -252,14 +251,6 @@ class _CoverSearch:
                 d += 1
         finally:
             self.nodes = nodes
-
-
-def _full_multiset_target(n: int, t: int) -> tuple[MultisetKey, ...]:
-    return tuple(combinations_with_replacement(range(1, n + 1), t))
-
-
-def _full_subset_target(n: int, t: int) -> tuple[MultisetKey, ...]:
-    return tuple(combinations(range(1, n + 1), t))
 
 
 def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
@@ -430,17 +421,16 @@ def _euler_block3(
     return _unroll_circuit(n, chosen, s), nodes
 
 
-def _fixed_from_constraints(c: SearchConstraints, k: int) -> dict[int, Letter]:
+def _fixed_from_constraints(c: SearchConstraints, n: int, k: int) -> dict[int, Letter]:
     if len(c.required_prefix) + len(c.required_suffix) > k:
         raise ValueError("prefix and suffix longer than the word itself")
-    fixed: dict[int, Letter] = {}
-    for i, v in enumerate(c.required_prefix):
-        fixed[i] = v
-    for i, v in enumerate(c.required_suffix):
-        p = k - len(c.required_suffix) + i
-        if p in fixed and fixed[p] != v:
-            raise ValueError("prefix and suffix conflict")
-        fixed[p] = v
+    for v in (*c.required_prefix, *c.required_suffix):
+        # checked like a CycleWord letter: an int (bools included) in 1..n
+        if not (isinstance(v, int) and 1 <= v <= n):
+            raise ValueError(f"fixed letter {v!r} out of range 1..{n}")
+    # no overlap: the two fit in the word side by side
+    fixed = dict(enumerate(c.required_prefix))
+    fixed.update(enumerate(c.required_suffix, k - len(c.required_suffix)))
     return fixed
 
 
@@ -449,23 +439,21 @@ def _find_ucycle(
 ) -> CycleWord:
     """The body both generators share, for an admissible (n, t).
 
-    Unconstrained t=3 requests with 3 not dividing n take the Euler fast path
-    (``_euler_block3``); everything else, and the tiniest alphabets, run the
-    witness search with what is left of the budget.  The search raises
-    ``SearchInfeasible`` when it is exhausted and ``SearchBudgetExceeded``,
-    carrying the nodes of both, when the budget runs out.  The word is
-    verified once before it is returned.
+    Unconstrained t=3 requests take the Euler fast path (``_euler_block3``;
+    at t=3 an admissible n is prime to 3); everything else, and the tiniest
+    alphabets, run the witness search with what is left of the budget.  The
+    search raises ``SearchInfeasible`` when it is exhausted and
+    ``SearchBudgetExceeded``, carrying the nodes of both, when the budget
+    runs out.  The word is verified once before it is returned.
     """
     kind = "subset" if distinct else "multiset"
-    target = (_full_subset_target if distinct else _full_multiset_target)(n, t)
-    if len(target) < t:
+    k = _family_size(n, t, distinct)
+    if k < t:
         # only multisets over n=1 land here: the would-be cycle is shorter
         # than the window, so nothing can verify even though n divides the
         # count
-        raise SearchInfeasible(
-            f"a cycle of length {len(target)} has no windows of size {t}"
-        )
-    fixed = _fixed_from_constraints(c, len(target))
+        raise SearchInfeasible(f"a cycle of length {k} has no windows of size {t}")
+    fixed = _fixed_from_constraints(c, n, k)
     symmetric = not c.required_prefix and not c.required_suffix
     if symmetric and not distinct:
         # full coverage includes the all-ones window; rotating it to the
@@ -473,7 +461,7 @@ def _find_ucycle(
         fixed = {i: 1 for i in range(t)}
     letters: tuple[Letter, ...] | None = None
     spent = 0
-    if symmetric and t == 3 and n % 3:
+    if symmetric and t == 3:
         # Fast path: a shift-symmetric word built from an Euler circuit of
         # the gap digraph; fall back to the witness search, with what is
         # left of the budget, when the construction finds no pick.
@@ -484,7 +472,7 @@ def _find_ucycle(
         if remaining is not None and remaining <= 0:
             raise SearchBudgetExceeded(f"node budget {budget} exhausted", spent)
         search = _CoverSearch(
-            n, t, target, fixed, remaining, relabel_symmetric=symmetric
+            n, t, distinct, fixed, remaining, relabel_symmetric=symmetric
         )
         try:
             letters = next(search.solutions(), None)
@@ -498,8 +486,7 @@ def _find_ucycle(
             )
     word = CycleWord(n, letters)
     # looked up at call time, so a wrapper installed on the module is seen
-    verify = verify_subset_ucycle if distinct else verify_multiset_ucycle
-    if not verify(word, t).ok:
+    if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
         raise AssertionError("internal error: emitted word failed verification")
     return word
 
@@ -569,9 +556,7 @@ def _count_branch(
     if second is not None:
         fixed[t] = 2
         fixed[t + 1] = second
-    search = _CoverSearch(
-        n, t, _full_multiset_target(n, t), fixed, budget, relabel_symmetric=True
-    )
+    search = _CoverSearch(n, t, False, fixed, budget, relabel_symmetric=True)
     reps: set[tuple[Letter, ...]] = set()
     exhausted = True
     try:

@@ -25,14 +25,10 @@ Whether a word passes is decided in four steps, cheapest first:
 4. its distinct windows: a word of the family's size with that many
    distinct windows, all members of the family, covers it exactly once.
 
-The first three steps read no window.  The evidence is deferred: a verifier's
-report computes ``missing``, ``duplicated`` and ``frequency_table`` when one
-is first read and keeps it, so a caller that reads only ``ok`` pays for these
-steps and nothing more.  A passing word's ``missing`` and ``duplicated`` are
-empty from the start, and its letter counts are arithmetic: by step 2's fact
-every letter occurs (family size)/n times, so its ``frequency_table`` is
-built without a pass over the letters.  A failing word's evidence is
-computed from the word.
+The first three steps read no window, and the evidence is deferred until it
+is read (see :class:`VerificationReport`).  One family definition,
+``_family`` and ``_family_size``, serves both verifiers, the admissibility
+predicates and the witness search.
 """
 
 from __future__ import annotations
@@ -40,8 +36,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, filterfalse, islice
+from itertools import filterfalse, islice
 from operator import eq
+from typing import Iterator
 
 from .core import CycleWord, MultisetKey, cyclic_windows
 
@@ -50,11 +47,31 @@ class InadmissibleError(ValueError):
     """The requested (n, t) fails the divisibility requirement."""
 
 
+def _family(n: int, t: int, distinct: bool) -> Iterator[MultisetKey]:
+    """The t-subsets (``distinct``) or t-multisets of [n] as sorted keys, in
+    ``itertools.combinations`` order but with no pool of n letters built."""
+    step = int(distinct)  # a key's letters rise by at least this much
+    key = [1 + i * step for i in range(t)]
+    while True:
+        # the keys that share key's first t-1 letters; then the rightmost of
+        # those below its greatest value steps up, and the rest restart
+        yield from map(tuple(key[:-1]).__add__, zip(range(key[-1], n + 1)))
+        i = next((i for i in range(t - 2, -1, -1) if key[i] < n - (t - 1 - i) * step), -1)
+        if i < 0:
+            return
+        key[i:] = [key[i] + 1 + j * step for j in range(t - i)]
+
+
+def _family_size(n: int, t: int, distinct: bool) -> int:
+    """C(n, t) t-subsets (``distinct``) or C(n+t-1, t) t-multisets of [n]."""
+    return math.comb(n, t) if distinct else math.comb(n + t - 1, t)
+
+
 def admissible_multiset(n: int, t: int) -> bool:
     """True when n divides C(n+t-1, t), the number of t-multisets of [n]."""
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
-    return math.comb(n + t - 1, t) % n == 0
+    return _family_size(n, t, False) % n == 0
 
 
 def admissible_subset(n: int, t: int) -> bool:
@@ -63,7 +80,7 @@ def admissible_subset(n: int, t: int) -> bool:
         raise ValueError("n and t must be positive")
     if n < t:
         raise ValueError("subsets need n >= t")
-    return math.comb(n, t) % n == 0
+    return _family_size(n, t, True) % n == 0
 
 
 def _format_key(key: MultisetKey) -> str:
@@ -92,6 +109,10 @@ class VerificationReport:
     from the word and ``t``.
     Either kind of report compares equal field by field to one constructed
     from its six values.
+
+    ``as_text`` is bounded by the word: when n exceeds its length, the
+    ``frequency:`` line lists the letters that occur, then ``(+K absent)``;
+    when it is shorter than t, no missing key is listed.
     """
 
     ok: bool
@@ -129,7 +150,8 @@ class VerificationReport:
                 table = _frequency_table(word)
             object.__setattr__(self, name, table)
         elif name in ("missing", "duplicated"):
-            self._detail(None)
+            # duplicated keys come from the windows alone: walk no family
+            self._detail(None if name == "missing" else 0)
         else:
             raise AttributeError(name)
         return self.__dict__[name]
@@ -138,22 +160,35 @@ class VerificationReport:
         """The missing count and the first ``limit`` missing keys (all when None).
 
         Keeps ``duplicated``, and ``missing`` too when the keys found are all
-        of them.
+        of them.  The count is arithmetic: every window is a t-multiset of
+        [n], and in subset mode every window without a repeated letter is a
+        t-subset, so the family members hit are the distinct windows less the
+        invalid ones.  The family is walked in order only until ``limit`` keys
+        are found.
         """
         word, t, distinct = self._source
-        count, missing, duplicated = _coverage_detail(word, t, distinct, self.expected_length, limit)
+        counts = Counter(cyclic_windows(word, t)) if len(word) >= t else Counter()
+        invalid = {k for k in counts if len(set(k)) < t} if distinct else set()
         kept = self.__dict__
-        kept.setdefault("duplicated", duplicated)
+        kept.setdefault("duplicated", tuple(sorted((k, c) for k, c in counts.items() if c >= 2 or k in invalid)))
+        family = _family(word.alphabet_size, t, distinct)
+        missing = tuple(islice(filterfalse(counts.__contains__, family), limit))
+        count = self.expected_length - len(counts) + len(invalid)
         if len(missing) == count:
             kept.setdefault("missing", missing)
         return count, missing
 
     def as_text(self, max_items: int | None = None) -> str:
-        if "missing" not in self.__dict__ and max_items is not None and max_items >= 0:
+        source = self.__dict__.get("_source")
+        t = source[1] if source else len(self.missing[0]) if self.missing else 0
+        # a word shorter than t has no windows: every key is missing, none listed
+        short = self.actual_length < t
+        limit = 0 if short else max_items
+        if "missing" not in self.__dict__ and limit is not None and limit >= 0:
             # count the missing keys and walk the family only as far as shown
-            missing_count, shown = self._detail(max_items)
+            missing_count, shown = self._detail(limit)
         else:
-            missing_count, shown = len(self.missing), self.missing[:max_items]
+            missing_count, shown = len(self.missing), self.missing[:limit]
         duplicated = self.duplicated
         lines = [
             f"ok: {'true' if self.ok else 'false'}",
@@ -162,7 +197,7 @@ class VerificationReport:
             f"missing_count: {missing_count}",
             f"duplicated_count: {len(duplicated)}",
         ]
-        if missing_count:
+        if missing_count and not short:
             tail = "" if len(shown) == missing_count else f" (+{missing_count - len(shown)} more)"
             lines.append("missing: " + " ".join(_format_key(k) for k in shown) + tail)
         if duplicated:
@@ -173,9 +208,14 @@ class VerificationReport:
                 + " ".join(f"{_format_key(k)}x{c}" for k, c in shown_d)
                 + tail
             )
-        lines.append(
-            "frequency: " + " ".join(f"{letter}={count}" for letter, count in sorted(self.frequency_table.items()))
-        )
+        n = source[0].alphabet_size if source else len(self.frequency_table)
+        # n above the word's length: list the letters that occur, counted
+        # (bools as ints) without a table over [n]
+        wide = n > self.actual_length
+        table = Counter(map(int, source[0].letters)) if wide and source else self.frequency_table
+        counts = sorted((letter, count) for letter, count in table.items() if count or not wide)
+        tail = f" (+{n - len(counts)} absent)" if wide else ""
+        lines.append("frequency: " + " ".join(f"{letter}={count}" for letter, count in counts) + tail)
         return "\n".join(lines)
 
 
@@ -184,27 +224,23 @@ def _frequency_table(word: CycleWord) -> dict[int, int]:
     return {letter: counts.get(letter, 0) for letter in range(1, word.alphabet_size + 1)}
 
 
-def _coverage_detail(
-    word: CycleWord, t: int, distinct: bool, expected: int, limit: int | None
-) -> tuple[int, tuple[MultisetKey, ...], tuple[tuple[MultisetKey, int], ...]]:
-    """Missing count, the first ``limit`` missing keys (all when None), duplicated keys.
-
-    The count is arithmetic: every window is a t-multiset of [n], and in
-    subset mode every window without a repeated letter is a t-subset, so the
-    family members hit are the distinct windows less the invalid ones.  The
-    family is walked in order only until ``limit`` keys are found.
-    """
+def _verify(word: CycleWord, t: int, distinct: bool) -> VerificationReport:
+    """The four steps both verifiers share, for the family ``_family`` names."""
+    if t < 1:
+        raise ValueError("window size must be positive")
     n = word.alphabet_size
-    counts = Counter(cyclic_windows(word, t)) if len(word) >= t else Counter()
-    if distinct:
-        family = combinations(range(1, n + 1), t)
-        invalid = {k for k in counts if len(set(k)) < t}
-    else:
-        family = combinations_with_replacement(range(1, n + 1), t)
-        invalid = set()
-    duplicated = tuple(sorted((k, c) for k, c in counts.items() if c >= 2 or k in invalid))
-    missing = tuple(islice(filterfalse(counts.__contains__, family), limit))
-    return expected - len(counts) + len(invalid), missing, duplicated
+    expected = _family_size(n, t, distinct)
+    letters = word.letters
+    ok = (
+        t <= len(letters) == expected
+        and letters.count(letters[0]) * n == expected
+        and 2 * sum(letters) == expected * (n + 1)
+        and len(dict.fromkeys(cyclic_windows(word, t))) == expected
+        # a window repeats a letter exactly when two letters fewer than t
+        # apart, cyclically, are equal
+        and not (distinct and any(any(map(eq, letters, letters[d:] + letters[:d])) for d in range(1, t)))
+    )
+    return VerificationReport._deferred(ok, expected, word, t, distinct)
 
 
 def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
@@ -220,18 +256,7 @@ def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     word passes when it has that many distinct windows.  The family is
     walked only when a failing report's keys are read.
     """
-    if t < 1:
-        raise ValueError("window size must be positive")
-    n = word.alphabet_size
-    expected = math.comb(n + t - 1, t)
-    letters = word.letters
-    ok = (
-        t <= len(letters) == expected
-        and letters.count(letters[0]) * n == expected
-        and 2 * sum(letters) == expected * (n + 1)
-        and len(dict.fromkeys(cyclic_windows(word, t))) == expected
-    )
-    return VerificationReport._deferred(ok, expected, word, t, False)
+    return _verify(word, t, False)
 
 
 def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
@@ -244,18 +269,4 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     then a word with that many distinct windows, none repeating a letter,
     passes without a walk of the family.
     """
-    if t < 1:
-        raise ValueError("window size must be positive")
-    n = word.alphabet_size
-    expected = math.comb(n, t)
-    letters = word.letters
-    ok = (
-        t <= len(letters) == expected
-        and letters.count(letters[0]) * n == expected
-        and 2 * sum(letters) == expected * (n + 1)
-        and len(dict.fromkeys(cyclic_windows(word, t))) == expected
-        # a window repeats a letter exactly when two letters fewer than t
-        # apart, cyclically, are equal
-        and not any(any(map(eq, letters, letters[d:] + letters[:d])) for d in range(1, t))
-    )
-    return VerificationReport._deferred(ok, expected, word, t, True)
+    return _verify(word, t, True)

@@ -8,6 +8,7 @@ Exit code contract: 0 success, 1 verification failed or infeasible,
 import contextlib
 import io
 import math
+import resource
 import subprocess
 import sys
 import time
@@ -227,6 +228,35 @@ class TestVerify:
         assert _run_in_process(argv) == 1
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("kind", ["multiset", "subset"])
+    @pytest.mark.parametrize(
+        "header, bounded_line",
+        [
+            # n = 10**9 over three letters: only the letters that occur
+            ("1000000000 3", "frequency: 1=1 2=1 3=1 (+999999997 absent)"),
+            # t = 10**6 over three letters: no window, so no key is listed
+            ("3 1000000", "frequency: 1=1 2=1 3=1"),
+        ],
+    )
+    def test_report_is_bounded_by_the_word(self, tmp_path, kind, header, bounded_line):
+        huge = tmp_path / "huge.ucy"
+        huge.write_text(f"{header}\n1 2 3\n")
+
+        def cap_memory():
+            # an unbounded report fails with MemoryError instead of filling
+            # the machine
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        r = subprocess.run(
+            [sys.executable, "-m", "ucycles", "verify", "--input", str(huge), "--kind", kind],
+            capture_output=True, text=True, timeout=20, preexec_fn=cap_memory,
+        )
+        assert (r.returncode, r.stderr) == (1, "")
+        assert len(r.stdout) < 4096
+        assert bounded_line in r.stdout.splitlines()
+        if header == "3 1000000":
+            assert "missing:" not in r.stdout
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.ucy"
         bad.write_text("garbage\nnot numbers\n")
@@ -236,10 +266,11 @@ class TestVerify:
         assert run_cli("verify", "--input", "/nonexistent.ucy", "--kind", "subset").returncode == 2
 
     def test_reader_closes_the_pipe_early(self, tmp_path):
-        # the report's frequency line alone (20 000 letters) outgrows a pipe
-        # buffer, so the command is still writing when the reader leaves
+        # the report's frequency line alone (20 000 letters, about 150 KB)
+        # outgrows a pipe buffer, so the command is still writing when the
+        # reader leaves
         huge = tmp_path / "huge.ucy"
-        huge.write_text("20000 3\n1 2 3\n")
+        huge.write_text("20000 3\n" + " ".join(map(str, range(1, 20001))) + "\n")
         err = tmp_path / "stderr.txt"
         with open(err, "wb") as err_file:
             proc = subprocess.Popen(

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 from functools import cache
@@ -19,7 +20,6 @@ from ucycles.searchgen import (
     SearchInfeasible,
     _CoverSearch,
     _euler_block3,
-    _full_multiset_target,
     _gap_classes,
     _letter_weights,
     _unroll_circuit,
@@ -59,13 +59,12 @@ def unsymmetric_count(n, t):
     Pins the run of ones and each letter after it in turn, enumerates all
     completions, then canonicalizes and folds reflections.
     """
-    target = _full_multiset_target(n, t)
     reps = set()
     nodes = 0
     for first in range(1, n + 1):
         fixed = {i: 1 for i in range(t)}
         fixed[t] = first
-        search = _CoverSearch(n, t, target, fixed, None, relabel_symmetric=False)
+        search = _CoverSearch(n, t, False, fixed, None, relabel_symmetric=False)
         for letters in search.solutions():
             reps.add(canonicalize(CycleWord(n, letters)).representative.letters)
         nodes += search.nodes
@@ -135,6 +134,11 @@ class TestSubsetGeneration:
             )
         assert info.value.nodes >= 10
 
+    def test_budget_exception_pickles(self):
+        error = pickle.loads(pickle.dumps(SearchBudgetExceeded("node budget 5 exhausted", 6)))
+        assert type(error) is SearchBudgetExceeded
+        assert (str(error), error.nodes) == ("node budget 5 exhausted", 6)
+
 
 class TestMultisetGeneration:
     @pytest.mark.parametrize(
@@ -152,6 +156,16 @@ class TestMultisetGeneration:
         # 4 does not divide C(5,2) = 10
         with pytest.raises(InadmissibleError):
             find_multiset_ucycle(4, 2)
+
+    @pytest.mark.parametrize("pin", [1.5, "1", None])
+    def test_pinned_letter_that_is_not_an_int(self, pin):
+        with pytest.raises(ValueError, match=f"^fixed letter {pin!r} out of range 1..4$"):
+            find_multiset_ucycle(4, 3, SearchConstraints(required_prefix=(pin,)))
+
+    def test_pinned_bool_letter_is_accepted(self):
+        word = find_multiset_ucycle(4, 3, SearchConstraints(required_prefix=(True, True)))
+        assert word.letters[:2] == (1, 1)
+        assert verify_multiset_ucycle(word, 3).ok
 
     def test_single_letter_alphabet_has_no_windows(self):
         # the only admissible word would be shorter than the window itself
@@ -383,19 +397,17 @@ class TestRelabelSymmetryGuard:
         ids=["out-of-order", "starts-above-1", "suffix", "suffix-pair", "not-prefix"],
     )
     def test_broken_order_switches_symmetry_off(self, fixed):
-        target = _full_multiset_target(3, 2)
-        on = _CoverSearch(3, 2, target, fixed, None, relabel_symmetric=True)
-        off = _CoverSearch(3, 2, target, fixed, None, relabel_symmetric=False)
+        on = _CoverSearch(3, 2, False, fixed, None, relabel_symmetric=True)
+        off = _CoverSearch(3, 2, False, fixed, None, relabel_symmetric=False)
         assert not on.relabel_symmetric
         assert set(on.solutions()) == set(off.solutions())
 
     @pytest.mark.parametrize("second", [1, 2, 3])
     def test_ordered_prefix_keeps_first_occurrence_words(self, second):
         # the pins of a counting branch: the run of ones, 2, then 1, 2 or 3
-        target = _full_multiset_target(4, 3)
         fixed = {0: 1, 1: 1, 2: 1, 3: 2, 4: second}
-        on = _CoverSearch(4, 3, target, fixed, None, relabel_symmetric=True)
-        off = _CoverSearch(4, 3, target, fixed, None, relabel_symmetric=False)
+        on = _CoverSearch(4, 3, False, fixed, None, relabel_symmetric=True)
+        off = _CoverSearch(4, 3, False, fixed, None, relabel_symmetric=False)
         assert on.relabel_symmetric
         everything = set(off.solutions())
         kept = set(on.solutions())
@@ -437,8 +449,14 @@ class TestNodePins:
         # a branch reads its search's nodes after the budget error
         assert count_distinct(n, t, budget=budget).as_text() == BUDGETED_COUNT_AS_TEXT[n, t, budget]
 
+    def test_no_word_when_n_does_not_divide_the_family(self):
+        # 4 does not divide C(5, 2) = 10: no letter count fits, no node is spent
+        search = _CoverSearch(4, 2, False, {}, None)
+        assert list(search.solutions()) == []
+        assert search.nodes == 0
+
     def test_nodes_kept_when_the_generator_is_closed(self):
-        search = _CoverSearch(3, 2, _full_multiset_target(3, 2), {0: 1, 1: 1}, None)
+        search = _CoverSearch(3, 2, False, {0: 1, 1: 1}, None)
         words = search.solutions()
         next(words)
         first = search.nodes
@@ -458,7 +476,7 @@ class TestWindowCodes:
 
     def test_injective_at_100(self):
         weight = _letter_weights(100, 3)
-        codes = {weight[a] + weight[b] + weight[c] for a, b, c in _full_multiset_target(100, 3)}
+        codes = {weight[a] + weight[b] + weight[c] for a, b, c in combinations_with_replacement(range(1, 101), 3)}
         assert len(codes) == math.comb(102, 3)
 
 

@@ -4,7 +4,7 @@ import dataclasses
 import math
 import pickle
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from unittest import mock
 
 import pytest
@@ -15,6 +15,8 @@ from ucycles.core import CycleWord, cyclic_windows
 from ucycles.doubling import DoublingError
 from ucycles.verify import (
     VerificationReport,
+    _family,
+    _family_size,
     admissible_multiset,
     admissible_subset,
     verify_multiset_ucycle,
@@ -263,6 +265,21 @@ class TestAdmissibility:
             admissible_multiset(0, 3)
         with pytest.raises(ValueError):
             admissible_subset(2, 3)  # needs n >= t
+
+
+class TestFamily:
+    def test_keys_and_sizes_match_itertools(self):
+        for n in range(1, 8):
+            for t in range(1, 7):
+                for distinct, reference in ((False, combinations_with_replacement), (True, combinations)):
+                    keys = list(_family(n, t, distinct))
+                    assert keys == list(reference(range(1, n + 1), t))
+                    assert len(keys) == _family_size(n, t, distinct)
+
+    def test_first_keys_of_a_huge_alphabet(self):
+        # no pool of 10**9 letters is built before the first key
+        assert list(islice(_family(10**9, 3, True), 2)) == [(1, 2, 3), (1, 2, 4)]
+        assert list(islice(_family(10**9, 3, False), 2)) == [(1, 1, 1), (1, 1, 2)]
 
 
 class TestMultisetVerification:
@@ -521,6 +538,46 @@ class TestReportText:
         assert f"(+{kind_size - 6} more)" in text
         assert "duplicated: {1,2,3}x3" in text
         assert report.duplicated == (((1, 2, 3), 3),)
+
+    @pytest.mark.parametrize("verify", [verify_multiset_ucycle, verify_subset_ucycle])
+    def test_frequency_line_lists_the_letters_that_occur(self, verify):
+        # n above the word's length: the letters that occur, then the count
+        # of the absent ones, with no table over [n] built
+        report = verify(CycleWord(10**6, (1, 2, 2, 5)), 3)
+        with mock.patch("ucycles.verify._frequency_table") as table:
+            text = report.as_text(max_items=5)
+        table.assert_not_called()
+        assert text.splitlines()[-1] == "frequency: 1=1 2=2 5=1 (+999997 absent)"
+        assert len(text) < 1000
+
+    @pytest.mark.parametrize("verify", [verify_multiset_ucycle, verify_subset_ucycle])
+    @pytest.mark.parametrize("max_items", [None, 50])
+    def test_word_shorter_than_t_lists_no_key(self, verify, max_items):
+        # every key is missing and longer than the word: only their count
+        # is printed, and no key is built
+        word = CycleWord(3, (1, 2, 3))
+        report = verify(word, 30)
+        text = report.as_text(max_items=max_items)
+        assert f"missing_count: {report.expected_length}" in text
+        assert "missing:" not in text
+        assert "duplicated_count: 0" in text
+        assert not report.__dict__.get("missing")
+        assert len(text) < 1000
+        # the constructed form of a short report gives the same text
+        short = verify(word, 5)
+        assert short.as_text(max_items) == dataclasses.replace(short).as_text(max_items)
+
+    def test_duplicated_walks_no_family(self):
+        # the duplicated keys of a huge family's report are read off the
+        # word's windows, without a walk of about 1.3e12 keys
+        def walked(*args):
+            raise AssertionError("the family was walked")
+            yield
+
+        report = verify_multiset_ucycle(CycleWord(20000, (1, 2, 3)), 3)
+        with mock.patch("ucycles.verify._family", walked):
+            assert report.duplicated == (((1, 2, 3), 3),)
+        assert "missing" not in report.__dict__
 
     def test_full_text_round_trip_fields(self):
         report = verify_multiset_ucycle(CycleWord(4, BASE_WORD_4), 3)
