@@ -11,6 +11,15 @@ A universal cycle for a family of t-multisets is a cycle word whose cyclic
 windows enumerate the family exactly once; this module supplies the raw
 material for building and comparing such words, while :mod:`ucycles.verify`
 holds the actual coverage checks.
+
+Letters are checked once, where they enter: the public constructor checks
+that every letter is an int in ``1..alphabet_size``.  Words the library
+derives from a word it already holds (a rotation, a reflection, a canonical
+representative) and the words of the ``.ucy`` reader's name table and of
+the counting search, whose letters lie in range by construction, come from
+the private ``CycleWord._trusted``, which checks nothing.  A word built by
+a construction route is still checked, since the verifier codes its
+letters on the assumption that they lie in range.
 """
 
 from __future__ import annotations
@@ -38,16 +47,26 @@ class CycleWord:
         ls = self.letters
         if len(ls) < 1:
             raise ValueError("word must contain at least one letter")
+        n = self.alphabet_size
         # a long all-int word is checked by passes in C; the loop names the
         # offending letter, accepts bools and other int subclasses, and is
         # the quicker check below about a hundred letters
         if len(ls) > 128 and set(map(type, ls)) == {int}:
             distinct = set(ls)
-            if min(distinct) >= 1 and max(distinct) <= self.alphabet_size:
+            if min(distinct) >= 1 and max(distinct) <= n:
                 return
         for x in ls:
-            if not (isinstance(x, int) and 1 <= x <= self.alphabet_size):
-                raise ValueError(f"letter {x!r} out of range 1..{self.alphabet_size}")
+            if not (isinstance(x, int) and 1 <= x <= n):
+                raise ValueError(f"letter {x!r} out of range 1..{n}")
+
+    @classmethod
+    def _trusted(cls, alphabet_size: int, letters: tuple[Letter, ...]) -> "CycleWord":
+        """A word whose letters, a non-empty tuple, lie in ``1..alphabet_size``
+        by construction: nothing is checked."""
+        word = object.__new__(cls)
+        # straight into the instance dict, as the frozen __setattr__ forbids
+        word.__dict__.update(alphabet_size=alphabet_size, letters=letters)
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -55,10 +74,10 @@ class CycleWord:
     def rotate(self, offset: int) -> "CycleWord":
         """Cyclic rotation moving position ``offset`` to the front."""
         off = offset % len(self.letters)
-        return CycleWord(self.alphabet_size, self.letters[off:] + self.letters[:off])
+        return CycleWord._trusted(self.alphabet_size, self.letters[off:] + self.letters[:off])
 
     def reflected(self) -> "CycleWord":
-        return CycleWord(self.alphabet_size, self.letters[::-1])
+        return CycleWord._trusted(self.alphabet_size, self.letters[::-1])
 
 
 def cyclic_windows(word: CycleWord, t: int) -> list[MultisetKey]:
@@ -136,4 +155,5 @@ def canonicalize(word: CycleWord) -> CanonicalClass:
         if best is None or form < best:
             best = form
     assert best is not None
-    return CanonicalClass(CycleWord(word.alphabet_size, best))
+    # first-occurrence names run 1..(distinct letters), all within the alphabet
+    return CanonicalClass(CycleWord._trusted(word.alphabet_size, best))

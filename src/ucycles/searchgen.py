@@ -47,6 +47,7 @@ from .verify import (
     InadmissibleError,
     _family,
     _family_size,
+    _letter_primes,
     admissible_multiset,
     admissible_subset,
     verify_multiset_ucycle,
@@ -81,15 +82,6 @@ class SearchConstraints:
     node_budget: int = DEFAULT_WITNESS_BUDGET
 
 
-def _letter_weights(n: int, t: int) -> list[int]:
-    """Window-code weight of each letter, indexed by letter (index 0 weighs 0).
-
-    Letter x weighs (t+1)^(x-1), so a t-multiset's code, the sum of its
-    letters' weights, has its letter multiplicities as base-(t+1) digits.
-    """
-    return [0] + [(t + 1) ** x for x in range(n)]
-
-
 class _CoverSearch:
     """DFS over words whose cyclic t-windows cover ``verify._family(n, t, distinct)``.
 
@@ -102,12 +94,12 @@ class _CoverSearch:
     at each yield and once the generator ends, runs out of budget or is
     closed.
 
-    The family and the windows already used are sets of integer codes:
-    letter x weighs (t+1)^(x-1), a window's code is the sum of its letters'
-    weights (read from a per-position weight list kept next to the word),
-    and its base-(t+1) digits are the letter multiplicities, so the code is
-    one-to-one on t-multisets.  A window that repeats a letter has no code
-    among the subsets and is refused like any other window off the family.
+    The family and the windows already used are sets of integer codes, the
+    verifier's: letter x stands for the x-th prime (``verify._letter_primes``)
+    and a window's code is the product of its letters' primes (read from a
+    per-position list kept next to the word), one-to-one on t-multisets by
+    unique factorization.  A window that repeats a letter has no code among
+    the subsets and is refused like any other window off the family.
     """
 
     def __init__(
@@ -160,11 +152,12 @@ class _CoverSearch:
         if max(counts) > bound:
             return
 
-        # a window's code is the sum of its letters' weights; wt[p] is the
-        # weight of the letter at position p (0 while p is free)
-        weight = _letter_weights(n, t)
-        wt = [weight[v] for v in word]
-        target = {sum(map(weight.__getitem__, key)) for key in _family(n, t, self.distinct)}
+        # a window's code is the product of its letters' primes; pr[p] is
+        # the prime of the letter at position p (0 while p is free)
+        prime = _letter_primes(n)
+        prod = math.prod
+        pr = [prime[v] for v in word]
+        target = {prod(map(prime.__getitem__, key)) for key in _family(n, t, self.distinct)}
 
         # Window j covers positions j..j+t-1 (mod k).  It is checked at the
         # moment its last free position (in ascending fill order) is placed;
@@ -177,7 +170,7 @@ class _CoverSearch:
             if fr:
                 trigger[max(fr)].append(poss)
             else:
-                code = sum(map(wt.__getitem__, poss))
+                code = prod(map(pr.__getitem__, poss))
                 if code not in target or code in used:
                     return
                 used.add(code)
@@ -217,10 +210,10 @@ class _CoverSearch:
                         )
                     if counts[letter] < bound:
                         word[p] = letter
-                        wt[p] = weight[letter]
+                        pr[p] = prime[letter]
                         codes_new: list[int] = []
                         for poss in windows:
-                            code = sum(map(wt.__getitem__, poss))
+                            code = prod(map(pr.__getitem__, poss))
                             if code in used or code not in target:
                                 break
                             used.add(code)
@@ -561,14 +554,14 @@ def _count_branch(
     exhausted = True
     try:
         for letters in search.solutions():
-            reps.add(canonicalize(CycleWord(n, letters)).representative.letters)
+            reps.add(canonicalize(CycleWord._trusted(n, letters)).representative.letters)
     except SearchBudgetExceeded:
         exhausted = False
     return reps, search.nodes, exhausted
 
 
 def _fold_reflection(n: int, rep: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    mirrored = canonicalize(CycleWord(n, rep[::-1])).representative.letters
+    mirrored = canonicalize(CycleWord._trusted(n, rep[::-1])).representative.letters
     return min(rep, mirrored)
 
 

@@ -8,9 +8,12 @@ cycle; that choice belongs to the consumer.
 Both directions look letters up in a table of their names, ``str(x)`` for
 x in ``1..n``, instead of calling ``str`` or ``int`` once per letter.  A
 table is built only when n is at most the word's length, so a huge header
-over a short word allocates nothing of size n.  A word line holding any
-other token (``+3``, ``03``, ``0``, ``x``, a letter above n) is read by
-``int``, so it parses, or fails, exactly as it would without the table.
+over a short word allocates nothing of size n.  A word read through the
+table has every letter in ``1..n``, so it is built without a second check
+(``CycleWord._trusted``).  A word line holding any other token (``+3``,
+``03``, ``0``, ``x``, a letter above n) is read by ``int`` and checked by
+the public constructor, so it parses, or fails, exactly as it would
+without the table.
 A letter of an int subclass (a bool, which ``CycleWord`` accepts) is
 written as its int, so every word the library accepts reads back.
 """
@@ -51,10 +54,14 @@ def parse_ucy(text: str) -> tuple[CycleWord, int]:
         raise UcyFormatError("header must hold exactly two integers: n t") from exc
     if t < 1:
         raise UcyFormatError("window size t must be positive")
-    letters = _read_letters(lines[1].split(), n)
+    tokens = lines[1].split()
+    named = _named_letters(tokens, n)
+    letters = named if named is not None else _int_letters(tokens)
     for extra in lines[2:]:
         if extra.strip():
             raise UcyFormatError("trailing data after the word line")
+    if named is not None:
+        return CycleWord._trusted(n, named), t
     try:
         word = CycleWord(n, letters)
     except ValueError as exc:
@@ -62,12 +69,18 @@ def parse_ucy(text: str) -> tuple[CycleWord, int]:
     return word, t
 
 
-def _read_letters(tokens: list[str], n: int) -> tuple[int, ...]:
-    if n <= len(tokens):
+def _named_letters(tokens: list[str], n: int) -> tuple[int, ...] | None:
+    """The letters when every token names one of 1..n (so there is at least
+    one), else None."""
+    if 1 <= n <= len(tokens):
         try:
             return tuple(map({str(x): x for x in range(1, n + 1)}.__getitem__, tokens))
         except KeyError:
             pass  # not every token is the name of a letter: read them by int
+    return None
+
+
+def _int_letters(tokens: list[str]) -> tuple[int, ...]:
     try:
         return tuple(map(int, tokens))
     except ValueError as exc:

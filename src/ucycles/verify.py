@@ -24,9 +24,17 @@ Whether a word passes is decided in four steps, cheapest first:
    rejects most of the words whose first letter's count happens to match;
 4. its distinct windows: a word of the family's size with that many
    distinct windows, all members of the family, covers it exactly once.
+   A window is read as an integer code, not a sorted tuple: letter x
+   stands for the x-th prime (``_letter_primes``) and a window for the
+   product of its letters' primes, so by unique factorization two windows
+   share a code exactly when they are the same multiset.  The codes come
+   from one table lookup over the word and t-1 products with rotated
+   copies of it, all in C (``_distinct_windows``).  The lookup relies on
+   every letter lying in 1..n, which a :class:`CycleWord` guarantees.
 
 The first three steps read no window, and the evidence is deferred until it
-is read (see :class:`VerificationReport`).  One family definition,
+is read (see :class:`VerificationReport`).  The evidence keeps the sorted
+tuples of :func:`ucycles.core.cyclic_windows`.  One family definition,
 ``_family`` and ``_family_size``, serves both verifiers, the admissibility
 predicates and the witness search.
 """
@@ -36,8 +44,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse, islice
-from operator import eq
+from functools import lru_cache
+from itertools import compress, filterfalse, islice
+from operator import eq, itemgetter, mul
 from typing import Iterator
 
 from .core import CycleWord, MultisetKey, cyclic_windows
@@ -65,6 +74,44 @@ def _family(n: int, t: int, distinct: bool) -> Iterator[MultisetKey]:
 def _family_size(n: int, t: int, distinct: bool) -> int:
     """C(n, t) t-subsets (``distinct``) or C(n+t-1, t) t-multisets of [n]."""
     return math.comb(n, t) if distinct else math.comb(n + t - 1, t)
+
+
+@lru_cache(maxsize=16)
+def _letter_primes(n: int) -> tuple[int, ...]:
+    """Window-code factor of each letter, indexed by letter: 0, then the
+    first n primes, so letter x stands for the x-th prime.
+
+    The code of a t-window, the product of its letters' primes, is one-to-one
+    on t-multisets of [n] by unique factorization.  Built on first use for
+    each n and kept; a letter outside 1..n must never be looked up (0 codes
+    as 0, and a negative index reads from the end).
+    """
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        primes = list(compress(range(limit), sieve))
+        if len(primes) >= n:
+            return (0, *primes[:n])
+        limit *= 2
+
+
+def _distinct_windows(letters: tuple[int, ...], n: int, t: int) -> int:
+    """The number of distinct cyclic t-windows, as multisets, of letters in
+    1..n (at least t of them), counted by their prime-product codes."""
+    if len(letters) == 1:
+        return 1  # and itemgetter of one index returns no tuple
+    codes = itemgetter(*letters)(_letter_primes(n))
+    windows = codes
+    for d in range(1, t):
+        # each pass is kept as a list: at n=100, chained maps feeding the
+        # table are slower
+        windows = list(map(mul, windows, codes[d:] + codes[:d]))
+    # a dict's table is smaller than a set's for as many keys, no slower
+    return len(dict.fromkeys(windows))
 
 
 def admissible_multiset(n: int, t: int) -> bool:
@@ -131,7 +178,7 @@ class VerificationReport:
         fields = report.__dict__
         fields["ok"] = ok
         fields["expected_length"] = expected
-        fields["actual_length"] = len(word)
+        fields["actual_length"] = len(word.letters)
         fields["_source"] = (word, t, distinct)
         if ok:
             fields["missing"] = fields["duplicated"] = ()
@@ -198,16 +245,11 @@ class VerificationReport:
             f"duplicated_count: {len(duplicated)}",
         ]
         if missing_count and not short:
-            tail = "" if len(shown) == missing_count else f" (+{missing_count - len(shown)} more)"
-            lines.append("missing: " + " ".join(_format_key(k) for k in shown) + tail)
+            lines.append("missing: " + _listed(map(_format_key, shown), missing_count - len(shown)))
         if duplicated:
             shown_d = duplicated if max_items is None else duplicated[:max_items]
-            tail = "" if len(shown_d) == len(duplicated) else f" (+{len(duplicated) - len(shown_d)} more)"
-            lines.append(
-                "duplicated: "
-                + " ".join(f"{_format_key(k)}x{c}" for k, c in shown_d)
-                + tail
-            )
+            items = (f"{_format_key(k)}x{c}" for k, c in shown_d)
+            lines.append("duplicated: " + _listed(items, len(duplicated) - len(shown_d)))
         n = source[0].alphabet_size if source else len(self.frequency_table)
         # n above the word's length: list the letters that occur, counted
         # (bools as ints) without a table over [n]
@@ -217,6 +259,11 @@ class VerificationReport:
         tail = f" (+{n - len(counts)} absent)" if wide else ""
         lines.append("frequency: " + " ".join(f"{letter}={count}" for letter, count in counts) + tail)
         return "\n".join(lines)
+
+
+def _listed(items: Iterator[str], more: int) -> str:
+    """The items shown, then ``(+more more)`` when some are not, one space apart."""
+    return " ".join([*items, f"(+{more} more)"] if more else items)
 
 
 def _frequency_table(word: CycleWord) -> dict[int, int]:
@@ -235,7 +282,7 @@ def _verify(word: CycleWord, t: int, distinct: bool) -> VerificationReport:
         t <= len(letters) == expected
         and letters.count(letters[0]) * n == expected
         and 2 * sum(letters) == expected * (n + 1)
-        and len(dict.fromkeys(cyclic_windows(word, t))) == expected
+        and _distinct_windows(letters, n, t) == expected
         # a window repeats a letter exactly when two letters fewer than t
         # apart, cyclically, are equal
         and not (distinct and any(any(map(eq, letters, letters[d:] + letters[:d])) for d in range(1, t)))
@@ -253,8 +300,10 @@ def verify_multiset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     word whose letters do not sum to C(n+t-1, t)·(n+1)/2, which is what
     letters 1..n, each that often, sum to.  Otherwise,
     since every window of a :class:`CycleWord` is a t-multiset of [n], the
-    word passes when it has that many distinct windows.  The family is
-    walked only when a failing report's keys are read.
+    word passes when it has that many distinct windows, told apart by their
+    prime-product codes (letter x stands for the x-th prime, a window for
+    the product).  The family is walked only when a failing report's keys
+    are read.
     """
     return _verify(word, t, False)
 
@@ -266,7 +315,7 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     are reported as duplicates of an invalid class.  The decision runs in
     the same four steps as for multisets: the length C(n, t), then the
     first letter's count C(n, t)/n, then the letter sum C(n, t)·(n+1)/2,
-    then a word with that many distinct windows, none repeating a letter,
-    passes without a walk of the family.
+    then a word with that many distinct windows (by their prime-product
+    codes), none repeating a letter, passes without a walk of the family.
     """
     return _verify(word, t, True)

@@ -72,6 +72,34 @@ class TestCycleWord:
         assert CycleWord(3, (1, 2, 3)).reflected().letters == (3, 2, 1)
 
 
+class TestTrustedWords:
+    """Rotations, reflections and canonical representatives skip the letter
+    check; each equals the word the checked constructor builds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_words, st.integers(min_value=-30, max_value=30))
+    def test_rotate(self, nw, off):
+        n, letters = nw
+        k = off % len(letters)
+        got = CycleWord(n, letters).rotate(off)
+        assert got == CycleWord(n, letters[k:] + letters[:k])
+        assert type(got.letters) is tuple
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_words)
+    def test_reflected(self, nw):
+        n, letters = nw
+        assert CycleWord(n, letters).reflected() == CycleWord(n, letters[::-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_words)
+    def test_canonical_representative(self, nw):
+        n, letters = nw
+        rep = canonicalize(CycleWord(n, letters)).representative
+        assert rep == CycleWord(n, ref_canonical(letters))
+        assert hash(rep) == hash(CycleWord(n, rep.letters))
+
+
 class TestWindows:
     def test_cyclic_windows_wrap(self):
         w = CycleWord(3, (1, 2, 3))

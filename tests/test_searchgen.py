@@ -21,7 +21,6 @@ from ucycles.searchgen import (
     _CoverSearch,
     _euler_block3,
     _gap_classes,
-    _letter_weights,
     _unroll_circuit,
     count_distinct,
     find_multiset_ucycle,
@@ -30,6 +29,7 @@ from ucycles.searchgen import (
 from ucycles.ucyfile import format_ucy
 from ucycles.verify import (
     InadmissibleError,
+    _letter_primes,
     verify_multiset_ucycle,
     verify_subset_ucycle,
 )
@@ -465,19 +465,36 @@ class TestNodePins:
 
 
 class TestWindowCodes:
-    """A window's code, the sum of its letters' weights, tells t-multisets apart."""
+    """A window's code, the product of its letters' primes (the table the
+    verifier shares), tells t-multisets apart."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("t", range(1, 7))
     def test_injective_on_small_alphabets(self, n, t):
-        weight = _letter_weights(n, t)
+        prime = _letter_primes(n)
         keys = list(combinations_with_replacement(range(1, n + 1), t))
-        assert len({sum(weight[x] for x in key) for key in keys}) == len(keys)
+        assert len({math.prod(prime[x] for x in key) for key in keys}) == len(keys)
 
     def test_injective_at_100(self):
-        weight = _letter_weights(100, 3)
-        codes = {weight[a] + weight[b] + weight[c] for a, b, c in combinations_with_replacement(range(1, 101), 3)}
+        prime = _letter_primes(100)
+        codes = {prime[a] * prime[b] * prime[c] for a, b, c in combinations_with_replacement(range(1, 101), 3)}
         assert len(codes) == math.comb(102, 3)
+        # every code fits in one 30-bit digit of a CPython int
+        assert max(codes) < 2**30
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 100, 1000])
+    def test_table_is_zero_then_the_first_n_primes(self, n):
+        prime = _letter_primes(n)
+        assert len(prime) == n + 1 and prime[0] == 0
+        assert prime[1:4] == (2, 3, 5)[: min(n, 3)]
+        assert all(b > a for a, b in zip(prime[1:], prime[2:]))
+        assert all(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in prime[1:])
+        # no prime is skipped: every number between two of them is composite
+        assert all(
+            any(m % q == 0 for q in range(2, math.isqrt(m) + 1))
+            for a, b in zip(prime[1:], prime[2:])
+            for m in range(a + 1, b)
+        )
 
 
 class TestEnumeration:

@@ -1,5 +1,6 @@
 """The .ucy two-line text format."""
 
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -178,6 +179,44 @@ class TestNameTables:
         # n = 3 is at most the word's length (the name table), n = 8 above it
         word = CycleWord(n, (True, 2, 2, 1, 3))
         assert parse_ucy(format_ucy(word, 3))[0].letters == tuple(map(int, word.letters))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=1, max_value=n), min_size=n, max_size=30),
+            )
+        )
+    )
+    def test_table_word_equals_a_checked_word(self, nw):
+        # n at most the word's length: every token is looked up in the table
+        n, letters = nw
+        word, t = parse_ucy(f"{n} 3\n{' '.join(map(str, letters))}\n")
+        assert word == CycleWord(n, letters)
+        assert hash(word) == hash(CycleWord(n, letters))
+        assert pickle.loads(pickle.dumps(word)) == word
+        assert type(word.letters) is tuple and {type(x) for x in word.letters} == {int}
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("0", "letter 0 out of range 1..2"),
+            ("+3", "letter 3 out of range 1..2"),
+            ("03", "letter 3 out of range 1..2"),
+            ("3", "letter 3 out of range 1..2"),  # n + 1
+            ("1.0", "word line must hold integers only"),
+        ],
+    )
+    def test_odd_token_still_checked(self, token, message):
+        # a token off the name table goes to int() and the checked
+        # constructor, with the constructor's own message
+        for at in (0, 2, 4):
+            tokens = ["1", "2", "1", "2"]
+            tokens.insert(at, token)
+            with pytest.raises(UcyFormatError) as err:
+                parse_ucy(f"2 3\n{' '.join(tokens)}\n")
+            assert str(err.value) == message
 
     def test_huge_header_allocates_no_table(self):
         # in a child process whose address space is capped, so that a table

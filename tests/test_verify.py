@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ucycles.core import CycleWord, cyclic_windows
+from ucycles.core import CycleWord
 from ucycles.doubling import DoublingError
 from ucycles.verify import (
     VerificationReport,
+    _distinct_windows,
     _family,
     _family_size,
     admissible_multiset,
@@ -347,6 +348,23 @@ class TestSubsetVerification:
         assert not verify_subset_ucycle(CycleWord(4, BASE_WORD_4), 3).ok
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(min_value=1, max_value=n), min_size=6, max_size=24),
+        )
+    ),
+    st.integers(min_value=1, max_value=6),
+)
+def test_window_codes_count_the_distinct_windows(nw, t):
+    # the prime-product codes against the sorted-slice windows
+    n, letters = nw
+    word = CycleWord(n, tuple(letters))
+    assert _distinct_windows(word.letters, n, t) == len(set(_ref_windows(word, t)))
+
+
 def _own_verifier(word, t):
     """The verifier whose family has as many members as the word has letters."""
     if word.alphabet_size >= t and len(word) == math.comb(word.alphabet_size, t):
@@ -356,7 +374,7 @@ def _own_verifier(word, t):
 
 def _reads_windows(verify, word, t):
     """Whether deciding ``ok`` read the word's windows."""
-    with mock.patch("ucycles.verify.cyclic_windows", wraps=cyclic_windows) as spy:
+    with mock.patch("ucycles.verify._distinct_windows", wraps=_distinct_windows) as spy:
         verify(word, t)
     return spy.called
 
@@ -578,6 +596,16 @@ class TestReportText:
         with mock.patch("ucycles.verify._family", walked):
             assert report.duplicated == (((1, 2, 3), 3),)
         assert "missing" not in report.__dict__
+
+    @pytest.mark.parametrize("constructed", [False, True])
+    def test_no_items_shown_leaves_only_the_tail(self, constructed):
+        # one space after the colon, then the count of what is not shown
+        report = verify_multiset_ucycle(CycleWord(10, (1, 2, 3)), 3)
+        if constructed:
+            report = dataclasses.replace(report)
+        lines = report.as_text(max_items=0).splitlines()
+        assert "missing: (+219 more)" in lines
+        assert "duplicated: (+1 more)" in lines
 
     def test_full_text_round_trip_fields(self):
         report = verify_multiset_ucycle(CycleWord(4, BASE_WORD_4), 3)
