@@ -11,7 +11,8 @@ stops without a traceback); 2 usage error or inadmissible parameters; 3 node
 budget exhausted.  ``--budget`` is the one way to change a node budget, and it
 bounds only the search-backed routes; the inductive construction searches
 nothing.  Each constructed route checks its own preconditions on n and
-raises; ``gen`` reports the refusal as a usage error.
+raises; ``gen`` reports the refusal as a usage error, as it does an
+``--out`` file it cannot write.
 """
 
 from __future__ import annotations
@@ -67,17 +68,26 @@ def _auto_method(n: int, t: int) -> str:
     return "search"
 
 
-def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None) -> None:
+def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None) -> int:
+    """Print the verified word, or write it to ``out``; a file that cannot be
+    written is a usage error."""
     payload = format_ucy(word, t)
+    verified = f"verified: n={word.alphabet_size} t={t} length={len(word)}"
     if out:
-        Path(out).write_text(payload)
-        if provenance is not None:
-            Path(out).with_suffix(".provenance").write_text(provenance)
+        try:
+            Path(out).write_text(payload)
+            if provenance is not None:
+                Path(out).with_suffix(".provenance").write_text(provenance)
+        except OSError as exc:
+            return _usage_error(str(exc))
+        print(verified, file=sys.stderr)
         print(f"wrote {out}", file=sys.stderr)
     else:
+        print(verified, file=sys.stderr)
         sys.stdout.write(payload)
         if provenance is not None:
             sys.stderr.write(provenance)
+    return EXIT_OK
 
 
 def _usage_error(message: str) -> int:
@@ -130,12 +140,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
-    print(
-        f"verified: n={word.alphabet_size} t={t} length={len(word)}",
-        file=sys.stderr,
-    )
-    _emit_word(word, t, args.out, provenance)
-    return EXIT_OK
+    return _emit_word(word, t, args.out, provenance)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

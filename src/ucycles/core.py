@@ -13,18 +13,21 @@ material for building and comparing such words, while :mod:`ucycles.verify`
 holds the actual coverage checks.
 
 Letters are checked once, where they enter: the public constructor checks
-that every letter is an int in ``1..alphabet_size``.  Words the library
-derives from a word it already holds (a rotation, a reflection, a canonical
-representative) and the words of the ``.ucy`` reader's name table and of
-the counting search, whose letters lie in range by construction, come from
-the private ``CycleWord._trusted``, which checks nothing.  A word built by
-a construction route is still checked, since the verifier codes its
-letters on the assumption that they lie in range.
+that every letter is an int in ``1..alphabet_size``.  It is written by hand
+rather than generated, so a word is built in one call: the checks, then both
+fields straight into the instance dict.  Words the library derives from a
+word it already holds (a rotation, a reflection, a canonical representative)
+and the words of the ``.ucy`` reader's name table and of the counting
+search, whose letters lie in range by construction, come from the private
+``CycleWord._trusted``, which checks nothing.  A word built by a
+construction route is still checked, since the verifier codes its letters
+on the assumption that they lie in range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 Letter = int
 MultisetKey = tuple[Letter, ...]
@@ -32,39 +35,42 @@ Pair = tuple[Letter, Letter]
 PairSet = frozenset[Pair]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleWord:
     """Immutable word whose letters lie in ``1..alphabet_size``."""
 
     alphabet_size: int
     letters: tuple[Letter, ...]
 
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
+    def __init__(self, alphabet_size: int, letters: Iterable[Letter]) -> None:
+        if alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        ls = self.letters
+        ls = letters if isinstance(letters, tuple) else tuple(letters)
         if len(ls) < 1:
             raise ValueError("word must contain at least one letter")
-        n = self.alphabet_size
+        n = alphabet_size
         # a long all-int word is checked by passes in C; the loop names the
         # offending letter, accepts bools and other int subclasses, and is
         # the quicker check below about a hundred letters
-        if len(ls) > 128 and set(map(type, ls)) == {int}:
-            distinct = set(ls)
-            if min(distinct) >= 1 and max(distinct) <= n:
-                return
-        for x in ls:
-            if not (isinstance(x, int) and 1 <= x <= n):
-                raise ValueError(f"letter {x!r} out of range 1..{n}")
+        if not (
+            len(ls) > 128
+            and set(map(type, ls)) == {int}
+            and min(distinct := set(ls)) >= 1
+            and max(distinct) <= n
+        ):
+            for x in ls:
+                if not (isinstance(x, int) and 1 <= x <= n):
+                    raise ValueError(f"letter {x!r} out of range 1..{n}")
+        # straight into the instance dict, as the frozen __setattr__ forbids
+        fields = self.__dict__
+        fields["alphabet_size"] = alphabet_size
+        fields["letters"] = ls
 
     @classmethod
     def _trusted(cls, alphabet_size: int, letters: tuple[Letter, ...]) -> "CycleWord":
         """A word whose letters, a non-empty tuple, lie in ``1..alphabet_size``
-        by construction: nothing is checked."""
+        by construction: the constructor's last step without its checks."""
         word = object.__new__(cls)
-        # straight into the instance dict, as the frozen __setattr__ forbids
         word.__dict__.update(alphabet_size=alphabet_size, letters=letters)
         return word
 

@@ -27,6 +27,11 @@ of the complete graph on [n] (with loops for multisets), and the ascending
 pass finds one at once.  Windows are held as integer codes, not sorted
 tuples (see ``_CoverSearch``).
 
+Counting can spread its branches over a process pool.  The pool is imported
+on the first call that asks for workers, not with this module, so importing
+the package or the CLI loads neither ``concurrent.futures`` nor
+``multiprocessing``.
+
 Everything is deterministic: identical inputs always yield identical outputs
 and node counts.  A node is one attempted letter placement, or in the Euler
 construction one gap-digraph edge sorted into its class, one re-choice tried
@@ -37,7 +42,6 @@ runs out.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
@@ -579,7 +583,8 @@ def count_distinct(
     n = 2 a single branch pins only the run.  The node budget applies to
     each branch, and a pool of ``workers`` processes starts at most one
     worker per branch; results are identical whether the branches run
-    sequentially or in parallel.
+    sequentially or in parallel.  The pool's module is imported on the
+    first call with ``workers``, so a sequential count loads none of it.
     """
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
@@ -597,6 +602,8 @@ def count_distinct(
     seconds = [None] if n == 2 else [1, 2, 3]
     branch_args = [(n, t, second, budget) for second in seconds]
     if workers:
+        from concurrent.futures import ProcessPoolExecutor
+
         # the fork start method starts every worker up front: no more than
         # there are branches to run
         with ProcessPoolExecutor(max_workers=min(workers, len(branch_args))) as pool:

@@ -8,10 +8,12 @@ Exit code contract: 0 success, 1 verification failed or infeasible,
 import contextlib
 import io
 import math
+import os
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,9 @@ class TestUsageErrors:
             # the constructions refuse an n outside their preconditions
             ("gen", "--n", "8", "--t", "3", "--method", "inductive"),
             ("gen", "--n", "13", "--t", "3", "--method", "doubling"),
+            # an --out that cannot be written: a missing directory, a directory
+            ("gen", "--n", "4", "--t", "3", "--method", "inductive", "--out", "/nonexistent/w.ucy"),
+            ("gen", "--n", "4", "--t", "3", "--method", "inductive", "--out", "."),
         ],
     )
     def test_one_line_error(self, argv):
@@ -118,6 +123,41 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports the package from the source tree."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+class TestColdStart:
+    """The process pool is loaded only by a count that asks for workers."""
+
+    def test_importing_the_cli_loads_no_pool(self):
+        r = run_fresh(
+            "import sys, ucycles, ucycles.cli; ucycles.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
+    def test_workers_still_count(self):
+        r = run_fresh(
+            "from ucycles.searchgen import count_distinct; "
+            "print(count_distinct(5, 2, workers=2).as_text())"
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "5 2 72 36 true 19565\n"
 
 
 def _run_in_process(argv):

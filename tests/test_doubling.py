@@ -280,13 +280,13 @@ class TestConstructDoubling:
     def test_final_word_is_built_once(self, x8, monkeypatch):
         # the supplied word is already a CycleWord; only the result is built
         built = []
-        post_init = CycleWord.__post_init__
+        init = CycleWord.__init__
 
-        def counted(word):
+        def counted(word, alphabet_size, letters):
+            init(word, alphabet_size, letters)
             built.append(len(word.letters))
-            post_init(word)
 
-        monkeypatch.setattr(CycleWord, "__post_init__", counted)
+        monkeypatch.setattr(CycleWord, "__init__", counted)
         assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
         assert built == [len(MULTISET3_WORD_8)]
 

@@ -302,7 +302,8 @@ class TestCounting:
                 return map(fn, args)
 
         sizes: list[int] = []
-        monkeypatch.setattr("ucycles.searchgen.ProcessPoolExecutor", InlinePool)
+        # count_distinct imports the pool from its module when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         seq = count_distinct(4, 3)
         for workers in (3, 64):
             r = count_distinct(4, 3, workers=workers)
