@@ -13,7 +13,8 @@ material for building and comparing such words, while :mod:`ucycles.verify`
 holds the actual coverage checks.
 
 Letters are checked once, where they enter: the public constructor checks
-that every letter is an int in ``1..alphabet_size``.  It is written by hand
+that ``alphabet_size`` is an int of at least 1 and that every letter is an
+int in ``1..alphabet_size``.  It is written by hand
 rather than generated, so a word is built in one call: the checks, then both
 fields straight into the instance dict.  Words the library derives from a
 word it already holds (a rotation, a reflection, a canonical representative)
@@ -43,6 +44,9 @@ class CycleWord:
     letters: tuple[Letter, ...]
 
     def __init__(self, alphabet_size: int, letters: Iterable[Letter]) -> None:
+        # an int subclass (a bool) is accepted, as it is for a letter
+        if not isinstance(alphabet_size, int):
+            raise ValueError(f"alphabet_size {alphabet_size!r} is not an int")
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
         ls = letters if isinstance(letters, tuple) else tuple(letters)

@@ -140,7 +140,8 @@ def construct_inductive(n: int) -> CycleWord:
             letters.extend(extension)
             extension = _next_extension(extension, m)
         letters.extend(extension)
-    word = CycleWord(n, tuple(letters))
+    word = CycleWord(n, letters)
+    del letters  # so the verifier reads the word's only copy
     if not verify_multiset_ucycle(word, 3).ok:
         raise AssertionError("internal error: emitted word failed verification")
     return word

@@ -16,6 +16,8 @@ the public constructor, so it parses, or fails, exactly as it would
 without the table.
 A letter of an int subclass (a bool, which ``CycleWord`` accepts) is
 written as its int, so every word the library accepts reads back.
+Files are read and written as UTF-8; a file whose bytes do not decode is a
+``UcyFormatError``, like any other text that does not parse.
 """
 
 from __future__ import annotations
@@ -88,8 +90,12 @@ def _int_letters(tokens: list[str]) -> tuple[int, ...]:
 
 
 def load_ucy(path: str | Path) -> tuple[CycleWord, int]:
-    return parse_ucy(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UcyFormatError(f"{path}: not UTF-8 text, byte {exc.start} does not decode") from exc
+    return parse_ucy(text)
 
 
 def save_ucy(path: str | Path, word: CycleWord, t: int) -> None:
-    Path(path).write_text(format_ucy(word, t))
+    Path(path).write_text(format_ucy(word, t), encoding="utf-8")

@@ -28,9 +28,11 @@ Whether a word passes is decided in four steps, cheapest first:
    stands for the x-th prime (``_letter_primes``) and a window for the
    product of its letters' primes, so by unique factorization two windows
    share a code exactly when they are the same multiset.  The codes come
-   from one table lookup over the word and t-1 products with rotated
-   copies of it, all in C (``_distinct_windows``).  The lookup relies on
-   every letter lying in 1..n, which a :class:`CycleWord` guarantees.
+   from one table lookup over the word, its first t-1 letters repeated for
+   the windows that wrap, then t-1 chained products with that tuple read
+   from offsets 1..t-1, all in C and into one list (``_distinct_windows``);
+   no rotated copy of the word is made.  The lookup relies on every letter
+   lying in 1..n, which a :class:`CycleWord` guarantees.
 
 The first three steps read no window, and the evidence is deferred until it
 is read (see :class:`VerificationReport`).  The evidence keeps the sorted
@@ -104,12 +106,17 @@ def _distinct_windows(letters: tuple[int, ...], n: int, t: int) -> int:
     1..n (at least t of them), counted by their prime-product codes."""
     if len(letters) == 1:
         return 1  # and itemgetter of one index returns no tuple
-    codes = itemgetter(*letters)(_letter_primes(n))
+    # the word's codes, then its first t-1 again for the windows that wrap,
+    # so the window at i multiplies codes i..i+t-1 and no rotation is copied
+    codes = itemgetter(*letters, *letters[: t - 1])(_letter_primes(n))
     windows = codes
     for d in range(1, t):
-        # each pass is kept as a list: at n=100, chained maps feeding the
-        # table are slower
-        windows = list(map(mul, windows, codes[d:] + codes[:d]))
+        windows = map(mul, windows, islice(codes, d, None))
+    # each window code is made once, into one list, and the letter codes are
+    # freed before the table is built; at n=100, the maps feeding the table
+    # straight are slower
+    windows = list(windows)
+    del codes
     # a dict's table is smaller than a set's for as many keys, no slower
     return len(dict.fromkeys(windows))
 

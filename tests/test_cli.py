@@ -205,6 +205,25 @@ class TestExitCodeContract:
         path.write_text("\n".join(lines) + "\n")
         assert _run_in_process(["verify", "--input", str(path), "--kind", kind]) in (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--kind", "multiset", "--input"],
+            ["verify", "--kind", "subset", "--input"],
+            ["pairs", "--input"],
+            ["gen", "--n", "8", "--t", "3", "--method", "doubling", "--subset-input"],
+        ],
+    )
+    def test_file_that_is_not_utf8(self, tmp_path, argv):
+        path = tmp_path / "binary.ucy"
+        path.write_bytes(b"\xff\xfe 3\n1 2\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli_main([*argv, str(path)]) == 2
+        assert err.getvalue().startswith("error: ")
+        assert "not UTF-8" in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+
     def test_gen_exit_code_grid(self):
         got = {
             (method, t): "".join(

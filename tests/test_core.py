@@ -42,7 +42,11 @@ class TestCycleWord:
 
     @pytest.mark.parametrize(
         "n, letters",
-        [(3, (1, 2, 4)), (3, (0, 1)), (3, (1, "2")), (0, (1,)), (2, ())],
+        [
+            (3, (1, 2, 4)), (3, (0, 1)), (3, (1, "2")), (0, (1,)), (2, ()),
+            # the alphabet size is an int too, checked where the word is made
+            (3.0, (1, 2, 3)), ("3", (1, 2, 3)),
+        ],
     )
     def test_rejects_bad_input(self, n, letters):
         with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -111,6 +114,29 @@ class TestDriver:
             construct_inductive(13)
         assert cli_main(["gen", "--n", "13", "--t", "3"]) == 1
         assert "internal error" in capsys.readouterr().err
+
+    def test_build_and_verification_keep_one_copy_of_the_word(self):
+        # in a fresh interpreter, so that nothing built before is counted:
+        # the word's tuple (8 bytes a letter), its window codes (40) and their
+        # table (about 45 at the last resize) stay below 100 bytes a letter;
+        # a letter list kept next to the word while it is verified, or a copy
+        # of the letter codes kept beside the table, crosses it from Python
+        # 3.11 on, and both together on 3.10
+        child = textwrap.dedent(
+            """
+            import tracemalloc
+            from ucycles.inductive import construct_inductive
+            tracemalloc.start()
+            word = construct_inductive(100)
+            peak = tracemalloc.get_traced_memory()[1]
+            print(len(word), round(peak / len(word), 1))
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        length, per_letter = done.stdout.split()
+        assert int(length) == math.comb(102, 3)
+        assert float(per_letter) < 100
 
     @pytest.mark.parametrize("n", [5, 6, 9, 3, 0])
     def test_rejects_off_lattice_alphabets(self, n):

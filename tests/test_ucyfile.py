@@ -42,6 +42,13 @@ def test_save_load(tmp_path):
     assert t == 3
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "binary.ucy"
+    p.write_bytes(b"\xff\xfe 3\n1 2\n")
+    with pytest.raises(UcyFormatError, match="not UTF-8"):
+        load_ucy(p)
+
+
 def test_word_line_whitespace_insensitive():
     word, t = parse_ucy("4 2\n 1   2\t3 4 \n")
     assert word.letters == (1, 2, 3, 4)
