@@ -18,6 +18,7 @@ raises; ``gen`` reports the refusal as a usage error, as it does an
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -70,7 +71,10 @@ def _auto_method(n: int, t: int) -> str:
 
 def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None) -> int:
     """Print the verified word, or write it to ``out``; a file that cannot be
-    written is a usage error."""
+    written, or an ``out`` that is its own sidecar's path, is a usage error."""
+    if out and provenance is not None and Path(out).suffix == ".provenance":
+        # the sidecar would overwrite the word: refuse before writing either
+        return _usage_error(f"--out {out} is the path of its own .provenance sidecar")
     payload = format_ucy(word, t)
     verified = f"verified: n={word.alphabet_size} t={t} length={len(word)}"
     if out:
@@ -218,16 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--subset-input", help=".ucy file with a 3-subset ucycle for the doubling method"
     )
     p_gen.add_argument("--budget", type=int, help="search node budget")
-    p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="verify a .ucy file")
     p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--kind", choices=["multiset", "subset"], required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_pairs = sub.add_parser("pairs", help="adjacency report for a 3-subset ucycle")
     p_pairs.add_argument("--input", required=True)
-    p_pairs.set_defaults(func=cmd_pairs)
 
     p_count = sub.add_parser("count", help="count distinct multiset ucycles")
     p_count.add_argument("--n", type=int, required=True)
@@ -239,15 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="after a full count, print one representative per class",
     )
-    p_count.set_defaults(func=cmd_count)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # looked up at call time, so a wrapper installed on the module after
+        # the parser was built is seen
+        code = globals()[f"cmd_{args.command}"](args)
         # output shorter than the buffer meets a closed pipe here, not at exit
         sys.stdout.flush()
         return code

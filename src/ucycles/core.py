@@ -22,7 +22,9 @@ and the words of the ``.ucy`` reader's name table and of the counting
 search, whose letters lie in range by construction, come from the private
 ``CycleWord._trusted``, which checks nothing.  A word built by a
 construction route is still checked, since the verifier codes its letters
-on the assumption that they lie in range.
+on the assumption that they lie in range; the subset word that pair
+doubling builds on is not, since it is never returned and the doubled word
+made from its letters is checked.
 """
 
 from __future__ import annotations

@@ -26,11 +26,7 @@ from operator import eq
 from typing import Sequence
 
 from .core import CycleWord, Letter, Pair, PairSet
-from .searchgen import (
-    DEFAULT_WITNESS_BUDGET,
-    SearchConstraints,
-    generate_subset_ucycle,
-)
+from .searchgen import DEFAULT_WITNESS_BUDGET, SearchConstraints, _build_letters
 from .verify import (
     InadmissibleError,
     VerificationReport,
@@ -216,8 +212,10 @@ def construct_doubling(
     """A verified ucycle on the 3-multisets of [n] via pair doubling.
 
     Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle over
-    [n] may be supplied; otherwise ``generate_subset_ucycle`` builds one,
-    within ``node_budget``.  Either way the input is verified before use.
+    [n] may be supplied, and is verified before use.  Otherwise the subset
+    generator's builder makes one within ``node_budget``, with the same
+    words, errors and node counts as ``generate_subset_ucycle``.  A built
+    word is checked only through the result's single verification.
     """
     if n % 3 == 0:
         raise InadmissibleError(
@@ -231,8 +229,10 @@ def construct_doubling(
     if n < 8:
         raise ValueError("pair doubling needs n >= 8")
     if subset_cycle is None:
-        subset_cycle = generate_subset_ucycle(
-            n, 3, SearchConstraints(node_budget=node_budget)
+        # in range by construction; the result's checked constructor and its
+        # verification cover these letters
+        subset_cycle = CycleWord._trusted(
+            n, _build_letters(n, 3, True, SearchConstraints(node_budget=node_budget))
         )
     elif subset_cycle.alphabet_size != n:
         raise ValueError(

@@ -431,17 +431,18 @@ def _fixed_from_constraints(c: SearchConstraints, n: int, k: int) -> dict[int, L
     return fixed
 
 
-def _find_ucycle(
+def _build_letters(
     n: int, t: int, distinct: bool, c: SearchConstraints
-) -> CycleWord:
-    """The body both generators share, for an admissible (n, t).
+) -> tuple[Letter, ...]:
+    """The letters of a ucycle for an admissible (n, t), not yet verified.
 
     Unconstrained t=3 requests take the Euler fast path (``_euler_block3``;
     at t=3 an admissible n is prime to 3); everything else, and the tiniest
     alphabets, run the witness search with what is left of the budget.  The
     search raises ``SearchInfeasible`` when it is exhausted and
     ``SearchBudgetExceeded``, carrying the nodes of both, when the budget
-    runs out.  The word is verified once before it is returned.
+    runs out.  A caller that builds on these letters verifies its own
+    result, which covers them; ``_find_ucycle`` verifies them as they are.
     """
     kind = "subset" if distinct else "multiset"
     k = _family_size(n, t, distinct)
@@ -481,7 +482,15 @@ def _find_ucycle(
             raise SearchInfeasible(
                 f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"
             )
-    word = CycleWord(n, letters)
+    return letters
+
+
+def _find_ucycle(
+    n: int, t: int, distinct: bool, c: SearchConstraints
+) -> CycleWord:
+    """The word both generators return: ``_build_letters``, then the one
+    verification of the finished word."""
+    word = CycleWord(n, _build_letters(n, t, distinct, c))
     # looked up at call time, so a wrapper installed on the module is seen
     if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
         raise AssertionError("internal error: emitted word failed verification")

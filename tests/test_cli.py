@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucycles.cli import main as cli_main
+import ucycles.cli
+from ucycles.cli import build_parser, main as cli_main
 from ucycles.core import CycleWord
 from ucycles.searchgen import generate_subset_ucycle
 from ucycles.ucyfile import save_ucy
@@ -27,12 +28,18 @@ from ucycles.ucyfile import save_ucy
 from goldens import BASE_WORD_4, GEN_EXIT_CODES
 
 
-def run_cli(*args):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, cwd=None):
+    """Run the command in a fresh interpreter that imports the package from the source tree."""
     return subprocess.run(
         [sys.executable, "-m", "ucycles", *args],
         capture_output=True,
         text=True,
         timeout=240,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
 
 
@@ -106,13 +113,17 @@ class TestUsageErrors:
             # an --out that cannot be written: a missing directory, a directory
             ("gen", "--n", "4", "--t", "3", "--method", "inductive", "--out", "/nonexistent/w.ucy"),
             ("gen", "--n", "4", "--t", "3", "--method", "inductive", "--out", "."),
+            # an --out that is its own .provenance sidecar's path
+            ("gen", "--n", "10", "--t", "3", "--method", "inductive", "--out", "w.provenance"),
         ],
     )
-    def test_one_line_error(self, argv):
-        r = run_cli(*argv)
+    def test_one_line_error(self, argv, tmp_path):
+        r = run_cli(*argv, cwd=tmp_path)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        # a refused request leaves no file behind
+        assert list(tmp_path.iterdir()) == []
 
     def test_subset_input_over_another_alphabet(self, subset_file):
         # subset_file holds a word over [8]
@@ -123,9 +134,6 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
-
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_fresh(code):
@@ -166,6 +174,79 @@ def _run_in_process(argv):
             return cli_main(argv)
         except SystemExit as exc:
             return exc.code
+
+
+def _captured_in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; what a command does is unchanged."""
+
+    def test_importing_the_cli_builds_no_parser(self):
+        r = run_fresh(
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import ucycles.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(3):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        ucycles.cli.main(['count', '--n', '1', '--t', '3'])\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
+        )
+        assert r.returncode == 0, r.stderr
+        after_import, *after_calls = map(int, r.stdout.split())
+        assert after_import == 0
+        assert after_calls[0] > 0
+        assert after_calls == [after_calls[0]] * 3
+
+    def test_mixed_commands_match_a_fresh_process(self, tmp_path, subset_file):
+        word = str(tmp_path / "w8.ucy")
+        sequence = [
+            ["gen", "--n", "8", "--t", "3", "--out", word],
+            ["verify", "--input", word, "--kind", "multiset"],
+            ["count", "--n", "4", "--t", "3", "--list"],
+            ["pairs", "--input", subset_file],
+            ["gen", "--n", "0", "--t", "3"],
+            ["gen", "--n", "8"],
+            ["--help"],
+            ["verify", "--help"],
+            ["gen", "--n", "7", "--t", "3"],
+        ]
+        fresh = [(r.returncode, r.stdout, r.stderr) for r in (run_cli(*argv) for argv in sequence)]
+        # the sequence twice, so every command also runs on a parser kept
+        # from every other kind of call, a usage error and --help included
+        for _ in range(2):
+            assert [_captured_in_process(argv) for argv in sequence] == fresh
+
+    def test_a_wrapper_installed_after_a_first_call_is_called(self, monkeypatch):
+        assert _run_in_process(["gen", "--n", "4", "--t", "3"]) == 0
+        seen = []
+        original = ucycles.cli.cmd_gen
+
+        def wrapped(args):
+            seen.append(args.n)
+            return original(args)
+
+        monkeypatch.setattr(ucycles.cli, "cmd_gen", wrapped)
+        assert _run_in_process(["gen", "--n", "4", "--t", "3"]) == 0
+        assert seen == [4]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestExitCodeContract:

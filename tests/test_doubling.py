@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import ucycles.doubling
+import ucycles.searchgen
 from ucycles.core import CycleWord, cyclic_windows
 from ucycles.doubling import (
     AnchorPermutation,
@@ -18,6 +20,11 @@ from ucycles.doubling import (
     construct_doubling,
     double_pairs,
     pair_index,
+)
+from ucycles.searchgen import (
+    SearchBudgetExceeded,
+    SearchConstraints,
+    generate_subset_ucycle,
 )
 from ucycles.ucyfile import format_ucy
 from ucycles.verify import (
@@ -289,6 +296,40 @@ class TestConstructDoubling:
         monkeypatch.setattr(CycleWord, "__init__", counted)
         assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
         assert built == [len(MULTISET3_WORD_8)]
+
+    @staticmethod
+    def _count_verifications(monkeypatch):
+        """Wrap each verifier wherever the subset builder and doubling look it up."""
+        calls = Counter()
+        for module in (ucycles.searchgen, ucycles.doubling):
+            for kind in ("subset", "multiset"):
+                name = f"verify_{kind}_ucycle"
+                original = getattr(module, name)
+
+                def counted(word, t, _original=original, _kind=kind):
+                    calls[_kind] += 1
+                    return _original(word, t)
+
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_a_built_subset_word_is_verified_only_through_the_result(self, monkeypatch):
+        calls = self._count_verifications(monkeypatch)
+        construct_doubling(26)
+        assert calls == {"multiset": 1}
+
+    def test_a_supplied_subset_word_is_verified_before_use(self, x8, monkeypatch):
+        calls = self._count_verifications(monkeypatch)
+        assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
+        assert calls == {"subset": 1, "multiset": 1}
+
+    def test_budget_stop_matches_the_subset_generator(self):
+        with pytest.raises(SearchBudgetExceeded) as direct:
+            generate_subset_ucycle(26, 3, SearchConstraints(node_budget=100))
+        with pytest.raises(SearchBudgetExceeded) as doubled:
+            construct_doubling(26, node_budget=100)
+        assert str(doubled.value) == str(direct.value)
+        assert doubled.value.nodes == direct.value.nodes
 
     def test_rejects_multiple_of_three(self):
         with pytest.raises(InadmissibleError):
