@@ -9,10 +9,10 @@ Exit codes: 0 success; 1 verification failed or search infeasible, or the
 reader of stdout closed it before the output was written (the command then
 stops without a traceback); 2 usage error or inadmissible parameters; 3 node
 budget exhausted.  ``--budget`` is the one way to change a node budget, and it
-bounds only the search-backed routes; the inductive construction searches
-nothing.  Each constructed route checks its own preconditions on n and
-raises; ``gen`` reports the refusal as a usage error, as it does an
-``--out`` file it cannot write.
+bounds only the letter search (and ``count``); the inductive, Euler and
+doubling constructions search nothing and ignore it.  Each constructed route
+checks its own preconditions on n and raises; ``gen`` reports the refusal as
+a usage error, as it does an ``--out`` file it cannot write.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 
 A cycle word is a finite sequence of letters drawn from ``1..alphabet_size``.
 It is read cyclically: length-t windows wrap past the end, one window per
-position.  Windows are compared as multisets and encoded as sorted tuples.
-They are read off shifted copies of the word with ``zip``; for t = 2 and
-t = 3 each one is put in order by compare-and-swap instead of a call to
-``sorted``.
+position.  Windows are compared as multisets and encoded as sorted tuples,
+read off shifted copies of the word with ``zip``.
 
 A universal cycle for a family of t-multisets is a cycle word whose cyclic
 windows enumerate the family exactly once; this module supplies the raw
@@ -17,7 +15,8 @@ that ``alphabet_size`` is an int of at least 1 and that every letter is an
 int in ``1..alphabet_size``.  It is written by hand
 rather than generated, so a word is built in one call: the checks, then both
 fields straight into the instance dict.  Words the library derives from a
-word it already holds (a rotation, a reflection, a canonical representative)
+word it already holds (a rotation, a reflection, a canonical representative,
+a pair-doubled word)
 and the words of the ``.ucy`` reader's name table and of the counting
 search, whose letters lie in range by construction, come from the private
 ``CycleWord._trusted``, which checks nothing.  A word built by a
@@ -100,19 +99,7 @@ def cyclic_windows(word: CycleWord, t: int) -> list[MultisetKey]:
     if len(ls) < t:
         raise ValueError("word shorter than window")
     seq = ls + ls[: t - 1]
-    shifted = [seq[i:] for i in range(t)]
-    if t == 3:
-        # the six orders of (a, b, c); equal letters keep their order, as in
-        # sorted(), so the keys are identical element for element
-        return [
-            ((a, b, c) if b <= c else (a, c, b) if a <= c else (c, a, b))
-            if a <= b
-            else ((b, a, c) if a <= c else (b, c, a) if b <= c else (c, b, a))
-            for a, b, c in zip(*shifted)
-        ]
-    if t == 2:
-        return [(a, b) if a <= b else (b, a) for a, b in zip(*shifted)]
-    return [tuple(sorted(w)) for w in zip(*shifted)]
+    return [tuple(sorted(w)) for w in zip(*(seq[i:] for i in range(t)))]
 
 
 @dataclass(frozen=True)

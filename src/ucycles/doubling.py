@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import eq
-from typing import Sequence
 
 from .core import CycleWord, Letter, Pair, PairSet
 from .searchgen import DEFAULT_WITNESS_BUDGET, SearchConstraints, _build_letters
@@ -167,12 +166,9 @@ def double_pairs(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIn
 
     The pairs exempted are exactly the n chain pairs of the anchor.  One
     forward pass copies the word and writes l[i], l[i+1] again right after
-    l[i+1] for each first-occurrence position i of a pair to double.
+    l[i+1] for each first-occurrence position i of a pair to double.  The
+    result is unchecked: its letters are copies of the word's.
     """
-    return CycleWord(word.alphabet_size, tuple(_doubled_letters(word, perm, idx)))
-
-
-def _doubled_letters(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIndex) -> list[Letter]:
     starts = []
     for p in idx.present - perm.chain_pairs():
         if p not in idx.first_occurrence:
@@ -185,17 +181,14 @@ def _doubled_letters(word: CycleWord, perm: AnchorPermutation, idx: PairOccurren
         out += ls[done : i + 2] + ls[i : i + 2]
         done = i + 2
     out += ls[done:]
-    return out
+    return CycleWord._trusted(word.alphabet_size, tuple(out))
 
 
 def append_triples(doubled: CycleWord, perm: AnchorPermutation) -> CycleWord:
-    """Append x1 x1 x1 ... xn xn xn and verify the result as a 3-multiset ucycle."""
-    return _closed(doubled.alphabet_size, doubled.letters, perm)
-
-
-def _closed(n: int, doubled: Sequence[Letter], perm: AnchorPermutation) -> CycleWord:
-    """The doubled letters with the triples appended, built and verified once."""
-    result = CycleWord(n, (*doubled, *(x for x in perm.order for _ in range(3))))
+    """Append x1 x1 x1 ... xn xn xn, building and verifying the result once
+    as a 3-multiset ucycle."""
+    triples = (x for x in perm.order for _ in range(3))
+    result = CycleWord(doubled.alphabet_size, (*doubled.letters, *triples))
     report = verify_multiset_ucycle(result, 3)
     if not report.ok:
         raise DoublingError(
@@ -242,4 +235,4 @@ def construct_doubling(
         raise ValueError("supplied word does not verify as a ucycle on 3-subsets")
     idx = pair_index(subset_cycle)
     perm = choose_permutation(subset_cycle, idx)
-    return _closed(n, _doubled_letters(subset_cycle, perm, idx), perm)
+    return append_triples(double_pairs(subset_cycle, perm, idx), perm)

@@ -15,8 +15,9 @@ edges, and the block into an Euler circuit through one edge per class.  The
 edges come in mirror pairs, so a balanced pick is built rather than searched
 for, and Hierholzer's algorithm walks the circuit.  This is the
 Euler-circuit method of Chung, Diaconis and Graham (1992) and Jackson
-(1993).  When no pick works (only on the tiniest alphabets), the general
-witness search runs with what is left of the node budget.
+(1993).  The construction searches nothing and spends no node budget.  When
+no pick works (only on the tiniest alphabets), the general witness search
+runs with the whole budget.
 
 The witness search is one depth-first pass that tries letters in ascending
 order.  It prunes only by the pinned positions, by each letter's count
@@ -33,10 +34,8 @@ the package or the CLI loads neither ``concurrent.futures`` nor
 ``multiprocessing``.
 
 Everything is deterministic: identical inputs always yield identical outputs
-and node counts.  A node is one attempted letter placement, or in the Euler
-construction one gap-digraph edge sorted into its class, one re-choice tried
-or one circuit edge walked; searches stop with an error when the node budget
-runs out.
+and node counts.  A node is one attempted letter placement; searches stop
+with an error when the node budget runs out.
 """
 
 from __future__ import annotations
@@ -305,12 +304,6 @@ def _unroll_circuit(
     return tuple((x + i * s) % n + 1 for i in range(n) for x in block)
 
 
-def _spend(nodes: int, node_budget: int | None) -> int:
-    if node_budget is not None and nodes > node_budget:
-        raise SearchBudgetExceeded(f"node budget {node_budget} exhausted", nodes)
-    return nodes
-
-
 def _root(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
@@ -335,9 +328,7 @@ def _pick_shape(
     return len(touched) - joins, s % n
 
 
-def _euler_block3(
-    n: int, distinct: bool, node_budget: int | None
-) -> tuple[tuple[Letter, ...] | None, int]:
+def _euler_block3(n: int, distinct: bool) -> tuple[Letter, ...] | None:
     """Shift-symmetric ucycle for window size 3, 3 not dividing n.
 
     A block w (w_0 = 0) of length L = (family size)/n unrolls to the word
@@ -356,18 +347,16 @@ def _euler_block3(
     re-choice (pairs in class order, options in edge order) that lowers the
     component count or, on a connected pick, makes s a unit is taken.
     Hierholzer's algorithm then walks the circuit (``_unroll_circuit``): it
-    is the block.  A node is one edge sorted into its class, one re-choice
-    tried or one circuit edge walked.
+    is the block.
 
-    Returns (1-based letters or None, nodes spent); None means no pick
-    works, which happens on the tiniest alphabets.
+    Returns the 1-based letters, or None when no pick works, which happens
+    on the tiniest alphabets.
     """
     classes = _gap_classes(n, distinct)
     L = len(classes)
     if L < 3:
-        return None, 0
+        return None
     home = {e: c for c, edges in enumerate(classes) for e in edges}
-    nodes = _spend(len(home), node_budget)
     # one entry per pair of mirrors, in class order: option (a, b) is the
     # 2-cycle (a, b), (b, a), or the loop (a, a) when a == b
     heads: list[int] = []
@@ -375,9 +364,9 @@ def _euler_block3(
     for c, edges in enumerate(classes):
         mirror = home[edges[0][::-1]]
         if mirror == c:
+            # a class that is its own mirror is {c-d, c, c+d}, {x, x, x+n/2}
+            # or {x, x, x}, and each holds a loop: (d, d), (n/2, n/2), (0, 0)
             edges = tuple((a, b) for a, b in edges if a == b)
-            if not edges:
-                return None, nodes
         if mirror >= c:
             heads.append(c)
             options.append(list(edges))
@@ -400,22 +389,20 @@ def _euler_block3(
             if i != pick[p]
         ]
         for p, i in tries:
-            nodes = _spend(nodes + 1, node_budget)
             was, pick[p] = pick[p], i
             new_comps, new_s = _pick_shape(n, options, pick)
             if new_comps < comps or (comps == new_comps == 1 and math.gcd(new_s, n) == 1):
                 break
             pick[p] = was
         else:
-            return None, nodes
+            return None
         comps, s = new_comps, new_s
     chosen = [(0, 0)] * L
     for c, opts, i in zip(heads, options, pick):
         a, b = opts[i]
         chosen[c] = (a, b)
         chosen[home[b, a]] = (b, a)
-    nodes = _spend(nodes + L, node_budget)
-    return _unroll_circuit(n, chosen, s), nodes
+    return _unroll_circuit(n, chosen, s)
 
 
 def _fixed_from_constraints(c: SearchConstraints, n: int, k: int) -> dict[int, Letter]:
@@ -437,12 +424,12 @@ def _build_letters(
     """The letters of a ucycle for an admissible (n, t), not yet verified.
 
     Unconstrained t=3 requests take the Euler fast path (``_euler_block3``;
-    at t=3 an admissible n is prime to 3); everything else, and the tiniest
-    alphabets, run the witness search with what is left of the budget.  The
-    search raises ``SearchInfeasible`` when it is exhausted and
-    ``SearchBudgetExceeded``, carrying the nodes of both, when the budget
-    runs out.  A caller that builds on these letters verifies its own
-    result, which covers them; ``_find_ucycle`` verifies them as they are.
+    at t=3 an admissible n is prime to 3), which spends no nodes;
+    everything else, and the tiniest alphabets, run the witness search with
+    the whole budget.  The search raises ``SearchInfeasible`` when it is
+    exhausted and ``SearchBudgetExceeded`` when the budget runs out.  A
+    caller that builds on these letters verifies its own result, which
+    covers them; ``_find_ucycle`` verifies them as they are.
     """
     kind = "subset" if distinct else "multiset"
     k = _family_size(n, t, distinct)
@@ -457,27 +444,15 @@ def _build_letters(
         # full coverage includes the all-ones window; rotating it to the
         # front and relabeling costs nothing, so pin the leading run
         fixed = {i: 1 for i in range(t)}
-    letters: tuple[Letter, ...] | None = None
-    spent = 0
-    if symmetric and t == 3:
-        # Fast path: a shift-symmetric word built from an Euler circuit of
-        # the gap digraph; fall back to the witness search, with what is
-        # left of the budget, when the construction finds no pick.
-        letters, spent = _euler_block3(n, distinct, c.node_budget)
+    # Fast path: a shift-symmetric word built from an Euler circuit of the
+    # gap digraph; the witness search runs when the construction finds no
+    # pick.
+    letters = _euler_block3(n, distinct) if symmetric and t == 3 else None
     if letters is None:
-        budget = c.node_budget
-        remaining = None if budget is None else budget - spent
-        if remaining is not None and remaining <= 0:
-            raise SearchBudgetExceeded(f"node budget {budget} exhausted", spent)
         search = _CoverSearch(
-            n, t, distinct, fixed, remaining, relabel_symmetric=symmetric
+            n, t, distinct, fixed, c.node_budget, relabel_symmetric=symmetric
         )
-        try:
-            letters = next(search.solutions(), None)
-        except SearchBudgetExceeded:
-            raise SearchBudgetExceeded(
-                f"node budget {budget} exhausted", spent + search.nodes
-            ) from None
+        letters = next(search.solutions(), None)
         if letters is None:
             raise SearchInfeasible(
                 f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"

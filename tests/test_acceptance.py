@@ -232,7 +232,7 @@ def test_criterion_10_negative_cases(tmp_path):
     bad.write_text("not a header\n")
     assert cli("verify", "--input", str(bad), "--kind", "multiset") == 2
     assert cli("gen", "--n", "9", "--t", "3") == 2
-    assert cli("gen", "--n", "13", "--t", "3", "--method", "search", "--budget", "50") == 3
+    assert cli("gen", "--n", "5", "--t", "4", "--budget", "50") == 3
     assert cli("count", "--n", "3", "--t", "3") == 2
     assert cli("count", "--n", "5", "--t", "3", "--budget", "1000") == 3
     assert cli("pairs", "--input", str(word_file)) == 1

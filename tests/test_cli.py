@@ -82,7 +82,7 @@ class TestGen:
         assert run_cli("gen", "--n", "13", "--t", "3", "--method", "doubling").returncode == 2
 
     def test_budget_exhaustion(self):
-        r = run_cli("gen", "--n", "13", "--t", "3", "--method", "search", "--budget", "100")
+        r = run_cli("gen", "--n", "5", "--t", "4", "--budget", "100")
         assert r.returncode == 3
         assert "budget" in r.stderr
 

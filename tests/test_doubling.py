@@ -21,11 +21,6 @@ from ucycles.doubling import (
     double_pairs,
     pair_index,
 )
-from ucycles.searchgen import (
-    SearchBudgetExceeded,
-    SearchConstraints,
-    generate_subset_ucycle,
-)
 from ucycles.ucyfile import format_ucy
 from ucycles.verify import (
     InadmissibleError,
@@ -323,13 +318,10 @@ class TestConstructDoubling:
         assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
         assert calls == {"subset": 1, "multiset": 1}
 
-    def test_budget_stop_matches_the_subset_generator(self):
-        with pytest.raises(SearchBudgetExceeded) as direct:
-            generate_subset_ucycle(26, 3, SearchConstraints(node_budget=100))
-        with pytest.raises(SearchBudgetExceeded) as doubled:
-            construct_doubling(26, node_budget=100)
-        assert str(doubled.value) == str(direct.value)
-        assert doubled.value.nodes == direct.value.nodes
+    def test_budget_does_not_reach_the_construction(self):
+        # the subset word over [22] comes from the Euler construction
+        payload = format_ucy(construct_doubling(22, node_budget=1), 3).encode()
+        assert hashlib.sha256(payload).hexdigest() == DOUBLING_SHA256[22]
 
     def test_rejects_multiple_of_three(self):
         with pytest.raises(InadmissibleError):

@@ -205,17 +205,19 @@ class TestEulerFastPath:
 
     @pytest.mark.parametrize("distinct, smallest", [(True, 8), (False, 5)])
     def test_every_admissible_alphabet_is_built(self, distinct, smallest):
-        # the construction costs its edge table, the L circuit edges and a
-        # few re-choices, fewer than the edges it sorted; the odd subset
-        # words are verified here because no `gen` route asks for them
+        # a class that is its own mirror can take only a loop, and it always
+        # holds one; the odd subset words are verified here because no `gen`
+        # route asks for them
         for n in range(smallest, 102):
             if n % 3 == 0:
                 continue
             classes = _gap_classes(n, distinct)
-            edges = sum(map(len, classes))
-            letters, spent = _euler_block3(n, distinct, None)
+            home = {e: c for c, edges in enumerate(classes) for e in edges}
+            for c, edges in enumerate(classes):
+                if home[edges[0][::-1]] == c:
+                    assert any(a == b for a, b in edges), (n, edges)
+            letters = _euler_block3(n, distinct)
             assert letters is not None, n
-            assert 0 <= spent - edges - len(classes) < edges, n
             if distinct and n % 2:
                 assert verify_subset_ucycle(CycleWord(n, letters), 3).ok, n
 
@@ -230,24 +232,28 @@ class TestEulerFastPath:
     @pytest.mark.parametrize("distinct, n", [(True, 7), (False, 4)])
     def test_tiny_alphabets_fall_back(self, distinct, n):
         # the generation tests above check that the fallback answers these
-        letters, spent = _euler_block3(n, distinct, None)
-        assert letters is None and spent > 0
+        assert _euler_block3(n, distinct) is None
 
-    def test_fallback_gets_only_the_remaining_budget(self):
-        _, spent = _euler_block3(7, True, None)
-        with pytest.raises(SearchBudgetExceeded) as info:
-            generate_subset_ucycle(7, 3, SearchConstraints(node_budget=spent))
-        assert info.value.nodes == spent
+    @pytest.mark.parametrize("distinct, n", [(True, 7), (False, 4)])
+    def test_fallback_gets_the_whole_budget(self, distinct, n):
+        # the construction that fails first spends none of it
+        generate = generate_subset_ucycle if distinct else find_multiset_ucycle
+        nodes = FIRST_SOLUTION_NODES["subset" if distinct else "multiset", n, 3]
+        word = generate(n, 3, SearchConstraints(node_budget=nodes))
+        assert word == generate(n, 3)
+        with pytest.raises(
+            SearchBudgetExceeded, match=f"^node budget {nodes - 1} exhausted$"
+        ) as info:
+            generate(n, 3, SearchConstraints(node_budget=nodes - 1))
+        assert info.value.nodes == nodes
 
     @pytest.mark.parametrize("distinct, n", [(True, 26), (False, 29)])
-    def test_tiny_budget_raises(self, distinct, n):
-        c = SearchConstraints(node_budget=40)
-        with pytest.raises(SearchBudgetExceeded) as info:
-            if distinct:
-                generate_subset_ucycle(n, 3, c)
-            else:
-                find_multiset_ucycle(n, 3, c)
-        assert info.value.nodes >= 40
+    def test_tiny_budget_is_not_spent(self, distinct, n):
+        # the Euler construction searches nothing, so no budget stops it
+        c = SearchConstraints(node_budget=1)
+        word = generate_subset_ucycle(n, 3, c) if distinct else find_multiset_ucycle(n, 3, c)
+        kind = "subset" if distinct else "multiset"
+        assert ucy_sha256(format_ucy(word, 3)) == EULER_SHA256[kind, n]
 
     def test_same_word_in_fresh_interpreters(self):
         code = (
