@@ -12,7 +12,8 @@ budget exhausted.  ``--budget`` is the one way to change a node budget, and it
 bounds only the letter search (and ``count``); the inductive, Euler and
 doubling constructions search nothing and ignore it.  Each constructed route
 checks its own preconditions on n and raises; ``gen`` reports the refusal as
-a usage error, as it does an ``--out`` file it cannot write.
+a usage error, as it does an ``--out`` file it cannot write and a
+``--subset-input`` given to any route but doubling.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None)
     verified = f"verified: n={word.alphabet_size} t={t} length={len(word)}"
     if out:
         try:
-            Path(out).write_text(payload)
+            Path(out).write_text(payload, encoding="utf-8")
             if provenance is not None:
-                Path(out).with_suffix(".provenance").write_text(provenance)
+                Path(out).with_suffix(".provenance").write_text(provenance, encoding="utf-8")
         except OSError as exc:
             return _usage_error(str(exc))
         print(verified, file=sys.stderr)
@@ -104,9 +105,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if n < 1 or t < 1:
         return _usage_error("--n and --t must be positive")
     budget = _pick_budget(args.budget, DEFAULT_WITNESS_BUDGET)
-    method = args.method
-    if method == "auto":
-        method = _auto_method(n, t)
+    method = _auto_method(n, t) if args.method == "auto" else args.method
+    if args.subset_input and method != "doubling":
+        return _usage_error(f"--subset-input is read only by the doubling method, not {method}")
+    if args.method == "auto":
         print(f"auto-selected method: {method}", file=sys.stderr)
     if not admissible_multiset(n, t):
         print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)

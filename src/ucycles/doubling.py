@@ -72,14 +72,9 @@ def pair_index(word: CycleWord) -> PairOccurrenceIndex:
     n = word.alphabet_size
     if any(map(eq, ls, ls[1:] + ls[:1])):
         raise ValueError("input is not a valid 3-subset ucycle: repeated adjacent letter")
-    # each ordered linear adjacency with a position: written right to left,
-    # so the leftmost position is the one kept
-    ordered = dict(zip(zip(ls[-2::-1], ls[:0:-1]), range(k - 2, -1, -1)))
     first: dict[Pair, int] = {}
-    for (u, v), i in ordered.items():
-        p = (u, v) if u < v else (v, u)
-        if i < first.get(p, k):
-            first[p] = i
+    for i, u, v in zip(range(k - 1), ls, ls[1:]):
+        first.setdefault((u, v) if u < v else (v, u), i)
     u, v = ls[-1], ls[0]
     present = frozenset(first) | {(u, v) if u < v else (v, u)}
     missing = frozenset(combinations(range(1, n + 1), 2)) - present

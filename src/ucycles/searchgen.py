@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Sequence
 
 from .core import CycleWord, Letter, canonicalize
@@ -254,7 +253,11 @@ def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
 
     The ordered window (x, y, z) is the edge (y - x, z - y) of a digraph on
     Z_n; its class is the shift-orbit of {x, y, z}, whose orderings give at
-    most 6 edges.  Every edge belongs to exactly one class.
+    most 6 edges.  Every edge belongs to exactly one class.  With
+    g3 = -(g1 + g2), the six orderings of {0, g1, g1 + g2}, in
+    ``itertools.permutations`` order, are the edges (g1, g2), (-g3, -g2),
+    (-g1, -g3), (g2, g3), (g3, g1) and (-g2, -g1), all mod n; repeats are
+    dropped and the first of each kept.
     """
     seen: set[tuple[int, int]] = set()
     classes: list[tuple[tuple[int, int], ...]] = []
@@ -262,15 +265,15 @@ def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
         for g2 in range(n):
             if (g1, g2) in seen:
                 continue
-            if distinct and (g1 == 0 or g2 == 0 or (g1 + g2) % n == 0):
+            g3 = -(g1 + g2) % n
+            if distinct and 0 in (g1, g2, g3):
                 continue
-            edges: list[tuple[int, int]] = []
-            for x, y, z in permutations((0, g1, (g1 + g2) % n)):
-                e = ((y - x) % n, (z - y) % n)
-                if e not in edges:
-                    edges.append(e)
+            edges = tuple(dict.fromkeys((
+                (g1, g2), (-g3 % n, -g2 % n), (-g1 % n, -g3 % n),
+                (g2, g3), (g3, g1), (-g2 % n, -g1 % n),
+            )))
             seen.update(edges)
-            classes.append(tuple(edges))
+            classes.append(edges)
     return classes
 
 

@@ -14,8 +14,9 @@ table has every letter in ``1..n``, so it is built without a second check
 ``03``, ``0``, ``x``, a letter above n) is read by ``int`` and checked by
 the public constructor, so it parses, or fails, exactly as it would
 without the table.
-A letter of an int subclass (a bool, which ``CycleWord`` accepts) is
-written as its int, so every word the library accepts reads back.
+A letter, alphabet size or window size of an int subclass (a bool, which
+``CycleWord`` accepts) is written as its int, so every word the library
+accepts reads back.
 Files are read and written as UTF-8; a file whose bytes do not decode is a
 ``UcyFormatError``, like any other text that does not parse.
 """
@@ -40,7 +41,7 @@ def format_ucy(word: CycleWord, t: int) -> str:
         body = " ".join(map(names.__getitem__, letters))
     else:
         body = " ".join(map(str, map(int, letters)))
-    return f"{n} {t}\n{body}\n"
+    return f"{int(n)} {int(t)}\n{body}\n"
 
 
 def parse_ucy(text: str) -> tuple[CycleWord, int]:

@@ -86,6 +86,24 @@ class TestGen:
         assert r.returncode == 3
         assert "budget" in r.stderr
 
+    def test_out_is_written_as_utf8_whatever_the_locale(self, tmp_path):
+        # a write that leaves the encoding to the locale is an EncodingWarning,
+        # made an error here
+        r = subprocess.run(
+            [
+                sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                "-m", "ucycles", "gen", "--n", "10", "--t", "3", "--out", "w.ucy",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=240,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "w.ucy").read_text(encoding="utf-8").startswith("10 3\n")
+        assert (tmp_path / "w.provenance").read_text(encoding="utf-8") == "n=10 path=pattern\n"
+
     def test_round_trip_with_verify(self, tmp_path):
         out = tmp_path / "w.ucy"
         r = run_cli("gen", "--n", "7", "--t", "3", "--method", "auto", "--out", str(out))
@@ -105,6 +123,13 @@ class TestUsageErrors:
             ("gen", "--n", "13", "--t", "3", "--method", "search", "--budget", "0"),
             (
                 "gen", "--n", "8", "--t", "3", "--method", "doubling",
+                "--subset-input", "/nonexistent/x.ucy",
+            ),
+            # --subset-input off the doubling route: auto picks inductive,
+            # and an explicit search
+            ("gen", "--n", "10", "--t", "3", "--subset-input", "/nonexistent/x.ucy"),
+            (
+                "gen", "--n", "8", "--t", "3", "--method", "search",
                 "--subset-input", "/nonexistent/x.ucy",
             ),
             # the constructions refuse an n outside their preconditions
@@ -158,6 +183,19 @@ class TestColdStart:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
+
+    def test_the_root_loads_the_library_and_exports_no_names(self):
+        # perfbench imports the package before its first timed operation, so
+        # what the root loads decides what that operation pays
+        r = run_fresh(
+            "import sys, ucycles; "
+            "print([name for name in ('CycleWord', 'construct_inductive', 'construct_doubling', "
+            "'verify_multiset_ucycle', 'load_ucy', 'count_distinct') if hasattr(ucycles, name)]); "
+            "print(sorted(m for m in sys.modules if m.startswith('ucycles.')))"
+        )
+        assert r.returncode == 0, r.stderr
+        modules = ("core", "doubling", "inductive", "searchgen", "ucyfile", "verify")
+        assert r.stdout.splitlines() == ["[]", str([f"ucycles.{m}" for m in modules])]
 
     def test_workers_still_count(self):
         r = run_fresh(

@@ -187,6 +187,14 @@ class TestNameTables:
         word = CycleWord(n, (True, 2, 2, 1, 3))
         assert parse_ucy(format_ucy(word, 3))[0].letters == tuple(map(int, word.letters))
 
+    def test_bool_header_round_trips(self):
+        # an alphabet size or window size of True is written as 1
+        word = CycleWord(True, (1,))
+        text = format_ucy(word, True)
+        assert text == "1 1\n1\n"
+        back, t = parse_ucy(text)
+        assert (back.alphabet_size, back.letters, t) == (1, (1,), 1)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(min_value=1, max_value=12).flatmap(
