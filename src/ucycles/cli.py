@@ -129,7 +129,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                     return _usage_error(str(exc))
                 if subset_t != 3:
                     return _usage_error("subset input must carry t=3")
-            word = construct_doubling(n, subset_cycle, budget)
+            word = construct_doubling(n, subset_cycle)
         else:
             word = find_multiset_ucycle(n, t, SearchConstraints(node_budget=budget))
     except SearchBudgetExceeded as exc:

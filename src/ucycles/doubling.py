@@ -25,7 +25,7 @@ from itertools import chain, combinations
 from operator import eq
 
 from .core import CycleWord, Letter, Pair, PairSet
-from .searchgen import DEFAULT_WITNESS_BUDGET, SearchConstraints, _build_letters
+from .searchgen import _euler_block3
 from .verify import (
     InadmissibleError,
     VerificationReport,
@@ -192,18 +192,14 @@ def append_triples(doubled: CycleWord, perm: AnchorPermutation) -> CycleWord:
     return result
 
 
-def construct_doubling(
-    n: int,
-    subset_cycle: CycleWord | None = None,
-    node_budget: int = DEFAULT_WITNESS_BUDGET,
-) -> CycleWord:
+def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWord:
     """A verified ucycle on the 3-multisets of [n] via pair doubling.
 
     Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle over
     [n] may be supplied, and is verified before use.  Otherwise the subset
-    generator's builder makes one within ``node_budget``, with the same
-    words, errors and node counts as ``generate_subset_ucycle``.  A built
-    word is checked only through the result's single verification.
+    word is the shift-unrolled Euler block (``_euler_block3``), the word
+    ``generate_subset_ucycle(n, 3)`` returns; it searches nothing and is
+    checked only through the result's single verification.
     """
     if n % 3 == 0:
         raise InadmissibleError(
@@ -217,11 +213,12 @@ def construct_doubling(
     if n < 8:
         raise ValueError("pair doubling needs n >= 8")
     if subset_cycle is None:
+        letters = _euler_block3(n, True)
+        if letters is None:
+            raise AssertionError(f"internal error: no Euler block for 3-subsets of [{n}]")
         # in range by construction; the result's checked constructor and its
         # verification cover these letters
-        subset_cycle = CycleWord._trusted(
-            n, _build_letters(n, 3, True, SearchConstraints(node_budget=node_budget))
-        )
+        subset_cycle = CycleWord._trusted(n, letters)
     elif subset_cycle.alphabet_size != n:
         raise ValueError(
             f"supplied word is over [{subset_cycle.alphabet_size}], not [{n}]"

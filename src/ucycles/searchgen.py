@@ -421,18 +421,16 @@ def _fixed_from_constraints(c: SearchConstraints, n: int, k: int) -> dict[int, L
     return fixed
 
 
-def _build_letters(
+def _find_ucycle(
     n: int, t: int, distinct: bool, c: SearchConstraints
-) -> tuple[Letter, ...]:
-    """The letters of a ucycle for an admissible (n, t), not yet verified.
+) -> CycleWord:
+    """The word both generators return, verified once as it is.
 
     Unconstrained t=3 requests take the Euler fast path (``_euler_block3``;
     at t=3 an admissible n is prime to 3), which spends no nodes;
     everything else, and the tiniest alphabets, run the witness search with
     the whole budget.  The search raises ``SearchInfeasible`` when it is
-    exhausted and ``SearchBudgetExceeded`` when the budget runs out.  A
-    caller that builds on these letters verifies its own result, which
-    covers them; ``_find_ucycle`` verifies them as they are.
+    exhausted and ``SearchBudgetExceeded`` when the budget runs out.
     """
     kind = "subset" if distinct else "multiset"
     k = _family_size(n, t, distinct)
@@ -460,15 +458,7 @@ def _build_letters(
             raise SearchInfeasible(
                 f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"
             )
-    return letters
-
-
-def _find_ucycle(
-    n: int, t: int, distinct: bool, c: SearchConstraints
-) -> CycleWord:
-    """The word both generators return: ``_build_letters``, then the one
-    verification of the finished word."""
-    word = CycleWord(n, _build_letters(n, t, distinct, c))
+    word = CycleWord(n, letters)
     # looked up at call time, so a wrapper installed on the module is seen
     if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
         raise AssertionError("internal error: emitted word failed verification")

@@ -160,6 +160,16 @@ class TestUsageErrors:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
+    def test_subset_input_with_another_window_size(self, tmp_path):
+        path = tmp_path / "pairs8.ucy"
+        save_ucy(path, generate_subset_ucycle(8, 3), 2)
+        r = run_cli(
+            "gen", "--n", "8", "--t", "3", "--method", "doubling",
+            "--subset-input", str(path),
+        )
+        assert r.returncode == 2
+        assert r.stderr == "error: subset input must carry t=3\n"
+
 
 def run_fresh(code):
     """Run ``code`` in a fresh interpreter that imports the package from the source tree."""

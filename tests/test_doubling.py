@@ -9,6 +9,7 @@ import pytest
 
 import ucycles.doubling
 import ucycles.searchgen
+from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, cyclic_windows
 from ucycles.doubling import (
     AnchorPermutation,
@@ -318,10 +319,19 @@ class TestConstructDoubling:
         assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
         assert calls == {"subset": 1, "multiset": 1}
 
-    def test_budget_does_not_reach_the_construction(self):
-        # the subset word over [22] comes from the Euler construction
-        payload = format_ucy(construct_doubling(22, node_budget=1), 3).encode()
+    def test_budget_does_not_reach_the_construction(self, monkeypatch, tmp_path):
+        # the subset word over [22] is the Euler block: the route searches
+        # nothing, so no letter search runs and --budget 1 changes no letter
+        def no_search(*args, **kwargs):
+            raise AssertionError("the doubling route ran the letter search")
+
+        monkeypatch.setattr(ucycles.searchgen, "_CoverSearch", no_search)
+        payload = format_ucy(construct_doubling(22), 3).encode()
         assert hashlib.sha256(payload).hexdigest() == DOUBLING_SHA256[22]
+        out = tmp_path / "d22.ucy"
+        argv = ["gen", "--n", "22", "--t", "3", "--method", "doubling", "--budget", "1"]
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DOUBLING_SHA256[22]
 
     def test_rejects_multiple_of_three(self):
         with pytest.raises(InadmissibleError):

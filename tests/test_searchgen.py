@@ -162,6 +162,16 @@ class TestMultisetGeneration:
         with pytest.raises(ValueError, match=f"^fixed letter {pin!r} out of range 1..4$"):
             find_multiset_ucycle(4, 3, SearchConstraints(required_prefix=(pin,)))
 
+    def test_prefix_and_suffix_longer_than_the_word(self):
+        # the word over [4] has C(6, 3) = 20 letters
+        c = SearchConstraints(required_prefix=(1,) * 11, required_suffix=(2,) * 10)
+        with pytest.raises(ValueError, match="^prefix and suffix longer than the word itself$"):
+            find_multiset_ucycle(4, 3, c)
+
+    def test_window_size_must_be_positive(self):
+        with pytest.raises(ValueError):
+            find_multiset_ucycle(4, 0)
+
     def test_pinned_bool_letter_is_accepted(self):
         word = find_multiset_ucycle(4, 3, SearchConstraints(required_prefix=(True, True)))
         assert word.letters[:2] == (1, 1)
@@ -388,6 +398,10 @@ class TestCounting:
         # verifier and find_multiset_ucycle agree)
         r = count_distinct(1, 3)
         assert r.count_rot_relabel == 0 and r.exhausted
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(ValueError):
+            count_distinct(0, 3)
 
     def test_as_text_format(self):
         assert count_distinct(3, 2).as_text().startswith("3 2 1 1 true ")

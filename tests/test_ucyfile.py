@@ -27,6 +27,11 @@ def test_format_shape():
     assert text == "4 3\n1 2 3 4\n"
 
 
+def test_format_rejects_a_window_size_below_one():
+    with pytest.raises(ValueError):
+        format_ucy(CycleWord(4, (1, 2, 3, 4)), 0)
+
+
 def test_parse_round_trip():
     word = CycleWord(4, BASE_WORD_4)
     parsed, t = parse_ucy(format_ucy(word, 3))
