@@ -10,10 +10,14 @@ reader of stdout closed it before the output was written (the command then
 stops without a traceback); 2 usage error or inadmissible parameters; 3 node
 budget exhausted.  ``--budget`` is the one way to change a node budget, and it
 bounds only the letter search (and ``count``); the inductive, Euler and
-doubling constructions search nothing and ignore it.  Each constructed route
-checks its own preconditions on n and raises; ``gen`` reports the refusal as
-a usage error, as it does an ``--out`` file it cannot write and a
-``--subset-input`` given to any route but doubling.
+doubling constructions search nothing and ignore it.
+
+The commands raise on failure, and ``_FAILURES`` is the one place that turns
+an exception into an exit code and its one stderr line: ``main`` walks it
+and re-raises an exception of any other family.  So a route refusing an n
+outside its preconditions, an ``--out`` file that cannot be written and a
+``--subset-input`` given to any route but doubling all end as ``error: …``
+and exit 2.
 """
 
 from __future__ import annotations
@@ -36,13 +40,8 @@ from .searchgen import (
     count_distinct,
     find_multiset_ucycle,
 )
-from .ucyfile import UcyFormatError, format_ucy, load_ucy
-from .verify import (
-    InadmissibleError,
-    admissible_multiset,
-    verify_multiset_ucycle,
-    verify_subset_ucycle,
-)
+from .ucyfile import format_ucy, load_ucy
+from .verify import admissible_multiset, verify_multiset_ucycle, verify_subset_ucycle
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -51,12 +50,25 @@ EXIT_BUDGET = 3
 
 MAX_REPORT_ITEMS = 50
 
+# Each family of failure, tried in order: the exit code and the label of the
+# one stderr line it ends with.  A closed stdout pipe, although an OSError, is
+# handled before this table is read.
+_FAILURES = (
+    ((SearchBudgetExceeded,), EXIT_BUDGET, "budget exhausted"),
+    ((SearchInfeasible, InfeasiblePermutation), EXIT_FAILED, "infeasible"),
+    # every route verifies its word before returning it; these are the
+    # library's own verification failures
+    ((AssertionError, DoublingError), EXIT_FAILED, "internal error"),
+    # InadmissibleError and UcyFormatError are ValueErrors
+    ((OSError, ValueError), EXIT_USAGE, "error"),
+)
+
 
 def _pick_budget(flag_value: int | None, default: int) -> int:
     if flag_value is None:
         return default
     if flag_value < 1:
-        raise InadmissibleError(f"--budget must be a positive integer, got {flag_value}")
+        raise ValueError(f"--budget must be a positive integer, got {flag_value}")
     return flag_value
 
 
@@ -72,19 +84,17 @@ def _auto_method(n: int, t: int) -> str:
 
 def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None) -> int:
     """Print the verified word, or write it to ``out``; a file that cannot be
-    written, or an ``out`` that is its own sidecar's path, is a usage error."""
+    written raises OSError, and an ``out`` that is its own sidecar's path
+    raises ValueError."""
     if out and provenance is not None and Path(out).suffix == ".provenance":
         # the sidecar would overwrite the word: refuse before writing either
-        return _usage_error(f"--out {out} is the path of its own .provenance sidecar")
+        raise ValueError(f"--out {out} is the path of its own .provenance sidecar")
     payload = format_ucy(word, t)
     verified = f"verified: n={word.alphabet_size} t={t} length={len(word)}"
     if out:
-        try:
-            Path(out).write_text(payload, encoding="utf-8")
-            if provenance is not None:
-                Path(out).with_suffix(".provenance").write_text(provenance, encoding="utf-8")
-        except OSError as exc:
-            return _usage_error(str(exc))
+        Path(out).write_text(payload, encoding="utf-8")
+        if provenance is not None:
+            Path(out).with_suffix(".provenance").write_text(provenance, encoding="utf-8")
         print(verified, file=sys.stderr)
         print(f"wrote {out}", file=sys.stderr)
     else:
@@ -95,65 +105,39 @@ def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None)
     return EXIT_OK
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     n, t = args.n, args.t
     if n < 1 or t < 1:
-        return _usage_error("--n and --t must be positive")
+        raise ValueError("--n and --t must be positive")
     budget = _pick_budget(args.budget, DEFAULT_WITNESS_BUDGET)
     method = _auto_method(n, t) if args.method == "auto" else args.method
     if args.subset_input and method != "doubling":
-        return _usage_error(f"--subset-input is read only by the doubling method, not {method}")
+        raise ValueError(f"--subset-input is read only by the doubling method, not {method}")
     if args.method == "auto":
         print(f"auto-selected method: {method}", file=sys.stderr)
     if not admissible_multiset(n, t):
         print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)
         return EXIT_USAGE
     if method != "search" and t != 3:
-        return _usage_error(f"the {method} method builds words for t=3 only")
+        raise ValueError(f"the {method} method builds words for t=3 only")
     provenance: str | None = None
-    try:
-        if method == "inductive":
-            word = construct_inductive(n)
-            provenance = provenance_report(n)
-        elif method == "doubling":
-            subset_cycle = None
-            if args.subset_input:
-                try:
-                    subset_cycle, subset_t = load_ucy(args.subset_input)
-                except OSError as exc:
-                    return _usage_error(str(exc))
-                if subset_t != 3:
-                    return _usage_error("subset input must carry t=3")
-            word = construct_doubling(n, subset_cycle)
-        else:
-            word = find_multiset_ucycle(n, t, SearchConstraints(node_budget=budget))
-    except SearchBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (SearchInfeasible, InfeasiblePermutation) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except (InadmissibleError, UcyFormatError, ValueError) as exc:
-        return _usage_error(str(exc))
-    except (AssertionError, DoublingError) as exc:
-        # every route verifies its word before returning it; these are the
-        # library's own verification failures
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
+    if method == "inductive":
+        word = construct_inductive(n)
+        provenance = provenance_report(n)
+    elif method == "doubling":
+        subset_cycle = None
+        if args.subset_input:
+            subset_cycle, subset_t = load_ucy(args.subset_input)
+            if subset_t != 3:
+                raise ValueError("subset input must carry t=3")
+        word = construct_doubling(n, subset_cycle)
+    else:
+        word = find_multiset_ucycle(n, t, SearchConstraints(node_budget=budget))
     return _emit_word(word, t, args.out, provenance)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        word, t = load_ucy(args.input)
-    except (OSError, UcyFormatError) as exc:
-        return _usage_error(str(exc))
+    word, t = load_ucy(args.input)
     report = (verify_subset_ucycle if args.kind == "subset" else verify_multiset_ucycle)(word, t)
     print(f"kind: {args.kind}")
     print(f"n: {word.alphabet_size}")
@@ -163,10 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    try:
-        word, t = load_ucy(args.input)
-    except (OSError, UcyFormatError) as exc:
-        return _usage_error(str(exc))
+    word, t = load_ucy(args.input)
     if t != 3 or not verify_subset_ucycle(word, 3).ok:
         print("input does not verify as a ucycle on 3-subsets", file=sys.stderr)
         return EXIT_FAILED
@@ -186,9 +167,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     n, t = args.n, args.t
     if n < 1 or t < 1:
-        return _usage_error("--n and --t must be positive")
+        raise ValueError("--n and --t must be positive")
     if args.workers is not None and args.workers < 0:
-        return _usage_error("--workers must not be negative")
+        raise ValueError("--workers must not be negative")
     budget = _pick_budget(args.budget, DEFAULT_COUNT_BUDGET)
     if not admissible_multiset(n, t):
         print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)
@@ -260,8 +241,6 @@ def main(argv: list[str] | None = None) -> int:
         # output shorter than the buffer meets a closed pipe here, not at exit
         sys.stdout.flush()
         return code
-    except InadmissibleError as exc:
-        return _usage_error(str(exc))
     except BrokenPipeError:
         # the reader closed stdout before the output was written; point the
         # descriptor at the null device so the flush at shutdown is silent
@@ -269,7 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except Exception as exc:
+        for families, code, label in _FAILURES:
+            if isinstance(exc, families):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise

@@ -215,7 +215,7 @@ def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWo
     if subset_cycle is None:
         letters = _euler_block3(n, True)
         if letters is None:
-            raise AssertionError(f"internal error: no Euler block for 3-subsets of [{n}]")
+            raise AssertionError(f"no Euler block for 3-subsets of [{n}]")
         # in range by construction; the result's checked constructor and its
         # verification cover these letters
         subset_cycle = CycleWord._trusted(n, letters)

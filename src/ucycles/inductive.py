@@ -143,7 +143,7 @@ def construct_inductive(n: int) -> CycleWord:
     word = CycleWord(n, letters)
     del letters  # so the verifier reads the word's only copy
     if not verify_multiset_ucycle(word, 3).ok:
-        raise AssertionError("internal error: emitted word failed verification")
+        raise AssertionError("emitted word failed verification")
     return word
 
 

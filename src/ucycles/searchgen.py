@@ -461,7 +461,7 @@ def _find_ucycle(
     word = CycleWord(n, letters)
     # looked up at call time, so a wrapper installed on the module is seen
     if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
-        raise AssertionError("internal error: emitted word failed verification")
+        raise AssertionError("emitted word failed verification")
     return word
 
 

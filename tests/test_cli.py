@@ -14,12 +14,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucycles.cli
+import ucycles.doubling
+import ucycles.searchgen
 from ucycles.cli import build_parser, main as cli_main
 from ucycles.core import CycleWord
 from ucycles.searchgen import generate_subset_ucycle
@@ -365,6 +368,73 @@ class TestExitCodeContract:
             for method, t in GEN_EXIT_CODES
         }
         assert got == GEN_EXIT_CODES
+
+
+class TestFailureLines:
+    """Each family of failure ends in its exit code and exactly its stderr lines, in process."""
+
+    @pytest.mark.parametrize(
+        "argv, code, stderr",
+        [
+            (
+                "gen --n 5 --t 4 --budget 100", 3,
+                "auto-selected method: search\nbudget exhausted: node budget 100 exhausted\n",
+            ),
+            (
+                "gen --n 2 --t 3", 1,
+                "auto-selected method: search\n"
+                "infeasible: no 3-multiset ucycle over [2] satisfies the constraints\n",
+            ),
+            (
+                "gen --n 13 --t 3 --method search --budget 0", 2,
+                "error: --budget must be a positive integer, got 0\n",
+            ),
+            (
+                "verify --input missing.ucy --kind multiset", 2,
+                "error: [Errno 2] No such file or directory: 'missing.ucy'\n",
+            ),
+            (
+                "verify --input garbage.ucy --kind multiset", 2,
+                "error: header must hold exactly two integers: n t\n",
+            ),
+            (
+                "gen --n 8 --t 3 --method inductive", 2,
+                "error: the inductive path covers n = 3k+1 with n >= 4 only; "
+                "use doubling or search for n=8\n",
+            ),
+            (
+                "gen --n 9 --t 3", 2,
+                "auto-selected method: search\ninadmissible: 9 does not divide C(11,3)\n",
+            ),
+        ],
+    )
+    def test_exact_stderr(self, tmp_path, monkeypatch, argv, code, stderr):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "garbage.ucy").write_text("garbage\nnot numbers\n")
+        assert _captured_in_process(argv.split()) == (code, "", stderr)
+
+    def test_an_internal_error_is_one_line_with_one_prefix(self, monkeypatch):
+        monkeypatch.setattr(ucycles.doubling, "_euler_block3", lambda n, distinct: None)
+        assert _captured_in_process(["gen", "--n", "22", "--t", "3", "--method", "doubling"]) == (
+            1, "", "internal error: no Euler block for 3-subsets of [22]\n"
+        )
+        monkeypatch.setattr(
+            ucycles.searchgen, "verify_multiset_ucycle", lambda word, t: SimpleNamespace(ok=False)
+        )
+        assert _captured_in_process(["gen", "--n", "13", "--t", "3", "--method", "search"]) == (
+            1, "", "internal error: emitted word failed verification\n"
+        )
+
+    def test_an_exception_of_another_family_is_not_caught(self, monkeypatch):
+        class Unforeseen(Exception):
+            pass
+
+        def fail(n):
+            raise Unforeseen("a real bug")
+
+        monkeypatch.setattr(ucycles.cli, "construct_inductive", fail)
+        with pytest.raises(Unforeseen):
+            _captured_in_process(["gen", "--n", "4", "--t", "3"])
 
 
 class TestAutoMethod:
