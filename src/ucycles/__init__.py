@@ -8,4 +8,4 @@ exports none.
 """
 
 # the library loads with the package, so no later call pays for an import
-from . import core, doubling, inductive, searchgen, ucyfile, verify
+from . import core, doubling, euler, inductive, searchgen, ucyfile, verify

@@ -25,7 +25,7 @@ from itertools import chain, combinations
 from operator import eq
 
 from .core import CycleWord, Letter, Pair, PairSet
-from .searchgen import _euler_block3
+from .euler import _euler_block3
 from .verify import (
     InadmissibleError,
     VerificationReport,

@@ -207,7 +207,7 @@ class TestColdStart:
             "print(sorted(m for m in sys.modules if m.startswith('ucycles.')))"
         )
         assert r.returncode == 0, r.stderr
-        modules = ("core", "doubling", "inductive", "searchgen", "ucyfile", "verify")
+        modules = ("core", "doubling", "euler", "inductive", "searchgen", "ucyfile", "verify")
         assert r.stdout.splitlines() == ["[]", str([f"ucycles.{m}" for m in modules])]
 
     def test_workers_still_count(self):

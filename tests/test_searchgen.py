@@ -14,14 +14,12 @@ import pytest
 from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, canonicalize
 from ucycles.doubling import construct_doubling
+from ucycles.euler import _euler_block3, _gap_classes, _unroll_circuit
 from ucycles.searchgen import (
     SearchBudgetExceeded,
     SearchConstraints,
     SearchInfeasible,
     _CoverSearch,
-    _euler_block3,
-    _gap_classes,
-    _unroll_circuit,
     count_distinct,
     find_multiset_ucycle,
     generate_subset_ucycle,
