@@ -111,13 +111,6 @@ class AnchorPermutation:
             out.add((u, v) if u < v else (v, u))
         return frozenset(out)
 
-    def anchor_pairs(self) -> PairSet:
-        """The odd-even pairs {x1,x2}, {x3,x4}, ... that must carry the missing pairs."""
-        x = self.order
-        return frozenset(
-            (min(x[i], x[i + 1]), max(x[i], x[i + 1])) for i in range(0, len(x), 2)
-        )
-
 
 def choose_permutation(word: CycleWord, idx: PairOccurrenceIndex) -> AnchorPermutation:
     """The lexicographically least anchor permutation for ``word``.
@@ -197,7 +190,7 @@ def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWo
 
     Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle over
     [n] may be supplied, and is verified before use.  Otherwise the subset
-    word is the shift-unrolled Euler block (``_euler_block3``), the word
+    word is the shift-unrolled Euler block (``euler._euler_block3``), the word
     ``generate_subset_ucycle(n, 3)`` returns; it searches nothing and is
     checked only through the result's single verification.
     """

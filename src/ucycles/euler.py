@@ -12,33 +12,37 @@ for, and Hierholzer's algorithm walks the circuit.  This is the
 Euler-circuit method of Chung, Diaconis and Graham (1992) and Jackson
 (1993).  The construction searches nothing and spends no node budget.  When
 no pick works (only on the tiniest alphabets), the general witness search
-runs with the whole budget.
+(``searchgen``) runs with the whole budget.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Letter
 
 
-def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
+def _gap_classes(
+    n: int, distinct: bool
+) -> tuple[list[tuple[tuple[int, int], ...]], dict[tuple[int, int], int]]:
     """Shift classes of 3-sets (or 3-multisets) of Z_n as gap-digraph edges.
 
     The ordered window (x, y, z) is the edge (y - x, z - y) of a digraph on
     Z_n; its class is the shift-orbit of {x, y, z}, whose orderings give at
-    most 6 edges.  Every edge belongs to exactly one class.  With
-    g3 = -(g1 + g2), the six orderings of {0, g1, g1 + g2}, in
-    ``itertools.permutations`` order, are the edges (g1, g2), (-g3, -g2),
-    (-g1, -g3), (g2, g3), (g3, g1) and (-g2, -g1), all mod n; repeats are
-    dropped and the first of each kept.
+    most 6 edges.  Every edge belongs to exactly one class, and the returned
+    map takes it to that class's index.  With g3 = -(g1 + g2), the six
+    orderings of {0, g1, g1 + g2}, in ``itertools.permutations`` order, are
+    the edges (g1, g2), (-g3, -g2), (-g1, -g3), (g2, g3), (g3, g1) and
+    (-g2, -g1), all mod n; repeats are dropped and the first of each kept.
     """
-    seen: set[tuple[int, int]] = set()
+    home: dict[tuple[int, int], int] = {}
     classes: list[tuple[tuple[int, int], ...]] = []
     for g1 in range(n):
         for g2 in range(n):
-            if (g1, g2) in seen:
+            if (g1, g2) in home:
                 continue
             g3 = -(g1 + g2) % n
             if distinct and 0 in (g1, g2, g3):
@@ -47,9 +51,9 @@ def _gap_classes(n: int, distinct: bool) -> list[tuple[tuple[int, int], ...]]:
                 (g1, g2), (-g3 % n, -g2 % n), (-g1 % n, -g3 % n),
                 (g2, g3), (g3, g1), (-g2 % n, -g1 % n),
             )))
-            seen.update(edges)
+            home.update(dict.fromkeys(edges, len(classes)))
             classes.append(edges)
-    return classes
+    return classes, home
 
 
 def _unroll_circuit(
@@ -76,10 +80,12 @@ def _unroll_circuit(
     if len(circuit) != len(edges) + 1:
         return None
     circuit.reverse()
-    block = [0]
-    for g in circuit[: len(edges) - 1]:
-        block.append((block[-1] + g) % n)
-    return tuple((x + i * s) % n + 1 for i in range(n) for x in block)
+    block = list(accumulate(circuit[: len(edges) - 1], lambda a, g: (a + g) % n, initial=0))
+    # copy i reads the block off the names rotated by i*s (a one-letter block
+    # slices: an itemgetter of one index returns a bare letter)
+    names = tuple(range(1, n + 1)) * 2
+    take = itemgetter(*block) if len(block) > 1 else itemgetter(slice(1))
+    return tuple(chain.from_iterable(take(names[i * s % n :]) for i in range(n)))
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -130,11 +136,10 @@ def _euler_block3(n: int, distinct: bool) -> tuple[Letter, ...] | None:
     Returns the 1-based letters, or None when no pick works, which happens
     on the tiniest alphabets.
     """
-    classes = _gap_classes(n, distinct)
+    classes, home = _gap_classes(n, distinct)
     L = len(classes)
     if L < 3:
         return None
-    home = {e: c for c, edges in enumerate(classes) for e in edges}
     # one entry per pair of mirrors, in class order: option (a, b) is the
     # 2-cycle (a, b), (b, a), or the loop (a, a) when a == b
     heads: list[int] = []

@@ -3,7 +3,8 @@
 The backtracking engine solves one kind of exact-cover problem: place letters
 so that every window lands on a distinct member of the t-subsets or
 t-multisets of [n] (the families ``verify`` defines) and the whole family is
-consumed, wrap windows included.
+consumed, wrap windows included.  Unconstrained t=3 requests first try the
+Euler construction of ``euler`` (see ``_find_ucycle``).
 
 The witness search is one depth-first pass that tries letters in ascending
 order.  It prunes only by the pinned positions, by each letter's count

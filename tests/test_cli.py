@@ -459,7 +459,7 @@ class TestVerify:
         assert r.returncode == 0
 
     def test_truncated_word_fails(self, tmp_path, base_file):
-        lines = open(base_file).read().splitlines()
+        lines = Path(base_file).read_text(encoding="utf-8").splitlines()
         words = lines[1].split()
         bad = tmp_path / "short.ucy"
         bad.write_text(lines[0] + "\n" + " ".join(words[:-1]) + "\n")

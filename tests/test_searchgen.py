@@ -1,4 +1,4 @@
-"""Backtracking generation, the Euler fast path and counting."""
+"""Backtracking generation, the Euler construction (``ucycles.euler``) and counting."""
 
 import hashlib
 import math
@@ -11,6 +11,9 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+import ucycles.doubling
+import ucycles.euler
+import ucycles.searchgen
 from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, canonicalize
 from ucycles.doubling import construct_doubling
@@ -219,8 +222,7 @@ class TestEulerFastPath:
         for n in range(smallest, 102):
             if n % 3 == 0:
                 continue
-            classes = _gap_classes(n, distinct)
-            home = {e: c for c, edges in enumerate(classes) for e in edges}
+            classes, home = _gap_classes(n, distinct)
             for c, edges in enumerate(classes):
                 if home[edges[0][::-1]] == c:
                     assert any(a == b for a, b in edges), (n, edges)
@@ -236,6 +238,19 @@ class TestEulerFastPath:
         assert _unroll_circuit(5, [(1, 2), (2, 1)], 3) == (
             1, 2, 4, 5, 2, 3, 5, 1, 3, 4,
         )
+        # a loop is a one-letter block: one letter per copy
+        assert _unroll_circuit(5, [(2, 2)], 2) == (1, 3, 5, 2, 4)
+
+    def test_the_construction_has_one_home(self):
+        # both routes take the block builder from euler, and the search
+        # module keeps no copy of it or of its helpers
+        assert (
+            ucycles.searchgen._euler_block3
+            is ucycles.doubling._euler_block3
+            is ucycles.euler._euler_block3
+        )
+        for name in ("_gap_classes", "_unroll_circuit", "_root", "_pick_shape"):
+            assert not hasattr(ucycles.searchgen, name), name
 
     @pytest.mark.parametrize("distinct, n", [(True, 7), (False, 4)])
     def test_tiny_alphabets_fall_back(self, distinct, n):
