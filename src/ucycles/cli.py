@@ -17,7 +17,10 @@ an exception into an exit code and its one stderr line: ``main`` walks it
 and re-raises an exception of any other family.  So a route refusing an n
 outside its preconditions, an ``--out`` file that cannot be written and a
 ``--subset-input`` given to any route but doubling all end as ``error: …``
-and exit 2.
+and exit 2.  Every word ``gen`` builds, by any route, is verified once in
+``verify._emitted`` before it is returned; a word that fails there is the
+library's bug, an ``AssertionError``, and ends as ``internal error: …`` and
+exit 1.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .core import CycleWord
-from .doubling import DoublingError, InfeasiblePermutation, construct_doubling, pair_index
+from .doubling import InfeasiblePermutation, construct_doubling, pair_index
 from .inductive import construct_inductive, provenance_report
 from .searchgen import (
     DEFAULT_COUNT_BUDGET,
@@ -56,9 +59,9 @@ MAX_REPORT_ITEMS = 50
 _FAILURES = (
     ((SearchBudgetExceeded,), EXIT_BUDGET, "budget exhausted"),
     ((SearchInfeasible, InfeasiblePermutation), EXIT_FAILED, "infeasible"),
-    # every route verifies its word before returning it; these are the
-    # library's own verification failures
-    ((AssertionError, DoublingError), EXIT_FAILED, "internal error"),
+    # every route returns its word through verify._emitted, which raises
+    # AssertionError when the word fails: a bug of the library's own
+    ((AssertionError,), EXIT_FAILED, "internal error"),
     # InadmissibleError and UcyFormatError are ValueErrors
     ((OSError, ValueError), EXIT_USAGE, "error"),
 )
@@ -151,11 +154,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     if t != 3 or not verify_subset_ucycle(word, 3).ok:
         print("input does not verify as a ucycle on 3-subsets", file=sys.stderr)
         return EXIT_FAILED
-    try:
-        idx = pair_index(word)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    # a verified 3-subset ucycle always passes pair_index's checks
+    idx = pair_index(word)
     missing = sorted(idx.missing)
     print(f"present_count: {len(idx.present)}")
     print(f"missing_count: {len(missing)}")

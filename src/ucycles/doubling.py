@@ -10,9 +10,10 @@ second.  The bookkeeping that makes both ends meet is an anchor permutation
 x1..xn: pairs consecutive in it (cyclically) are exempted from doubling, and
 its triples x1 x1 x1 ... xn xn xn form the suffix, whose seams then contribute
 the exempted pairs' multisets instead.  Missing pairs (never adjacent in the
-input) must all appear among {x1,x2}, {x3,x4}, ...; a counting argument shows
-they are pairwise disjoint, so such a permutation exists whenever the
-endpoints cooperate.
+input) must all appear among {x1,x2}, {x3,x4}, ...; they are pairwise
+disjoint, since if a letter x had two missing partners y and y', the window
+holding {x, y, y'} would put x next to one of them.  So such a permutation
+exists whenever the endpoints cooperate.
 
 Everything here works for even n not divisible by 3; odd alphabets have no
 known pair-doubling route and are delegated to the search generator.
@@ -26,27 +27,11 @@ from operator import eq
 
 from .core import CycleWord, Letter, Pair, PairSet
 from .euler import _euler_block3
-from .verify import (
-    InadmissibleError,
-    VerificationReport,
-    verify_multiset_ucycle,
-    verify_subset_ucycle,
-)
+from .verify import InadmissibleError, _emitted, verify_subset_ucycle
 
 
 class InfeasiblePermutation(RuntimeError):
     """No anchor permutation satisfies the endpoint constraints."""
-
-
-class DoublingError(RuntimeError):
-    """The assembled word failed verification (upstream constraint broke)."""
-
-    def __init__(self, message: str, report: VerificationReport):
-        super().__init__(message)
-        self.report = report
-
-    def __reduce__(self):
-        return type(self), (self.args[0], self.report)
 
 
 @dataclass(frozen=True)
@@ -173,16 +158,11 @@ def double_pairs(word: CycleWord, perm: AnchorPermutation, idx: PairOccurrenceIn
 
 
 def append_triples(doubled: CycleWord, perm: AnchorPermutation) -> CycleWord:
-    """Append x1 x1 x1 ... xn xn xn, building and verifying the result once
-    as a 3-multiset ucycle."""
+    """Append x1 x1 x1 ... xn xn xn, building the result once and returning
+    it through ``verify._emitted``: a result that is no 3-multiset ucycle
+    raises ``AssertionError``."""
     triples = (x for x in perm.order for _ in range(3))
-    result = CycleWord(doubled.alphabet_size, (*doubled.letters, *triples))
-    report = verify_multiset_ucycle(result, 3)
-    if not report.ok:
-        raise DoublingError(
-            "doubled word does not close into a 3-multiset ucycle", report
-        )
-    return result
+    return _emitted(CycleWord(doubled.alphabet_size, (*doubled.letters, *triples)), 3, False)
 
 
 def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWord:
@@ -192,7 +172,9 @@ def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWo
     [n] may be supplied, and is verified before use.  Otherwise the subset
     word is the shift-unrolled Euler block (``euler._euler_block3``), the word
     ``generate_subset_ucycle(n, 3)`` returns; it searches nothing and is
-    checked only through the result's single verification.
+    checked only through the result's single verification, in
+    ``append_triples``.  A supplied word that fails raises ``ValueError``; a
+    result that fails is the library's bug and raises ``AssertionError``.
     """
     if n % 3 == 0:
         raise InadmissibleError(

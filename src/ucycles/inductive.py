@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .core import CycleWord, Letter
-from .verify import InadmissibleError, verify_multiset_ucycle
+from .verify import _emitted
 
 # Base pair: a universal cycle on the 3-multisets of [4], and the extension
 # that grows it to one over [7].  Both are fixed seeds of the induction.
@@ -129,7 +129,7 @@ def _next_extension(extension: Sequence[Letter], m: int) -> list[Letter]:
 def construct_inductive(n: int) -> CycleWord:
     """A verified universal cycle on the 3-multisets of [n], for n = 3k+1 >= 4."""
     if n < 4 or n % 3 != 1:
-        raise InadmissibleError(
+        raise ValueError(
             f"the inductive path covers n = 3k+1 with n >= 4 only; "
             f"use doubling or search for n={n}"
         )
@@ -142,9 +142,7 @@ def construct_inductive(n: int) -> CycleWord:
         letters.extend(extension)
     word = CycleWord(n, letters)
     del letters  # so the verifier reads the word's only copy
-    if not verify_multiset_ucycle(word, 3).ok:
-        raise AssertionError("emitted word failed verification")
-    return word
+    return _emitted(word, 3, False)
 
 
 def provenance_report(n: int) -> str:

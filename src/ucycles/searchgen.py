@@ -35,13 +35,12 @@ from .core import CycleWord, Letter, canonicalize
 from .euler import _euler_block3
 from .verify import (
     InadmissibleError,
+    _emitted,
     _family,
     _family_size,
     _letter_primes,
     admissible_multiset,
     admissible_subset,
-    verify_multiset_ucycle,
-    verify_subset_ucycle,
 )
 
 DEFAULT_WITNESS_BUDGET = 10_000_000
@@ -254,13 +253,18 @@ def _find_ucycle(
 ) -> CycleWord:
     """The word both generators return, verified once as it is.
 
-    Unconstrained t=3 requests take the Euler fast path (``_euler_block3``;
-    at t=3 an admissible n is prime to 3), which spends no nodes;
-    everything else, and the tiniest alphabets, run the witness search with
-    the whole budget.  The search raises ``SearchInfeasible`` when it is
-    exhausted and ``SearchBudgetExceeded`` when the budget runs out.
+    An n that does not divide the family size raises ``InadmissibleError``
+    before anything is built.  Unconstrained t=3 requests take the Euler
+    fast path (``_euler_block3``; at t=3 an admissible n is prime to 3),
+    which spends no nodes; everything else, and the tiniest alphabets, run
+    the witness search with the whole budget.  The search raises
+    ``SearchInfeasible`` when it is exhausted and ``SearchBudgetExceeded``
+    when the budget runs out.  The word leaves through ``verify._emitted``.
     """
     kind = "subset" if distinct else "multiset"
+    if not (admissible_subset if distinct else admissible_multiset)(n, t):
+        size = f"C({n},{t})" if distinct else f"C({n + t - 1},{t})"
+        raise InadmissibleError(f"n={n} does not divide {size}; no {kind} ucycle exists")
     k = _family_size(n, t, distinct)
     if k < t:
         # only multisets over n=1 land here: the would-be cycle is shorter
@@ -286,11 +290,7 @@ def _find_ucycle(
             raise SearchInfeasible(
                 f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"
             )
-    word = CycleWord(n, letters)
-    # looked up at call time, so a wrapper installed on the module is seen
-    if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
-        raise AssertionError("emitted word failed verification")
-    return word
+    return _emitted(CycleWord(n, letters), t, distinct)
 
 
 def generate_subset_ucycle(
@@ -299,8 +299,6 @@ def generate_subset_ucycle(
     """A ucycle on the t-subsets of [n] (see ``_find_ucycle``)."""
     if t not in (2, 3):
         raise ValueError("subset generation supports t in {2, 3}")
-    if not admissible_subset(n, t):
-        raise InadmissibleError(f"n={n} does not divide C({n},{t}); no subset ucycle exists")
     return _find_ucycle(n, t, True, constraints or SearchConstraints())
 
 
@@ -308,12 +306,6 @@ def find_multiset_ucycle(
     n: int, t: int, constraints: SearchConstraints | None = None
 ) -> CycleWord:
     """A ucycle on the t-multisets of [n] (see ``_find_ucycle``)."""
-    if t < 1:
-        raise ValueError("window size must be positive")
-    if not admissible_multiset(n, t):
-        raise InadmissibleError(
-            f"n={n} does not divide C({n + t - 1},{t}); no multiset ucycle exists"
-        )
     return _find_ucycle(n, t, False, constraints or SearchConstraints())
 
 
@@ -391,8 +383,6 @@ def count_distinct(
     sequentially or in parallel.  The pool's module is imported on the
     first call with ``workers``, so a sequential count loads none of it.
     """
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
     if not admissible_multiset(n, t):
         return CountResult(n, t, 0, 0, exhausted=True, nodes_visited=0)
     if n == 1:

@@ -326,3 +326,15 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     codes), none repeating a letter, passes without a walk of the family.
     """
     return _verify(word, t, True)
+
+
+def _emitted(word: CycleWord, t: int, distinct: bool) -> CycleWord:
+    """``word``, built by a construction or the search, once it verifies on
+    its family; one that fails is the library's bug, an ``AssertionError``.
+
+    The verifier is this module's global, looked up at call time, so a
+    wrapper installed on ``ucycles.verify`` sees every route's check.
+    """
+    if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
+        raise AssertionError("emitted word failed verification")
+    return word

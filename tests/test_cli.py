@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import ucycles.cli
 import ucycles.doubling
 import ucycles.searchgen
+import ucycles.verify
 from ucycles.cli import build_parser, main as cli_main
 from ucycles.core import CycleWord
 from ucycles.searchgen import generate_subset_ucycle
@@ -419,9 +420,20 @@ class TestFailureLines:
             1, "", "internal error: no Euler block for 3-subsets of [22]\n"
         )
         monkeypatch.setattr(
-            ucycles.searchgen, "verify_multiset_ucycle", lambda word, t: SimpleNamespace(ok=False)
+            ucycles.verify, "verify_multiset_ucycle", lambda word, t: SimpleNamespace(ok=False)
         )
         assert _captured_in_process(["gen", "--n", "13", "--t", "3", "--method", "search"]) == (
+            1, "", "internal error: emitted word failed verification\n"
+        )
+
+    @pytest.mark.parametrize("n, method", [(4, "inductive"), (8, "doubling"), (13, "search")])
+    def test_every_route_verifies_through_one_exit(self, monkeypatch, n, method):
+        # one patch on ucycles.verify reaches the word every route returns
+        monkeypatch.setattr(
+            ucycles.verify, "verify_multiset_ucycle", lambda word, t: SimpleNamespace(ok=False)
+        )
+        argv = ["gen", "--n", str(n), "--t", "3", "--method", method]
+        assert _captured_in_process(argv) == (
             1, "", "internal error: emitted word failed verification\n"
         )
 

@@ -9,11 +9,11 @@ import pytest
 
 import ucycles.doubling
 import ucycles.searchgen
+import ucycles.verify
 from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, cyclic_windows
 from ucycles.doubling import (
     AnchorPermutation,
-    DoublingError,
     InfeasiblePermutation,
     PairOccurrenceIndex,
     append_triples,
@@ -263,7 +263,7 @@ class TestAppendTriples:
 
     def test_detects_inconsistent_input(self, x8):
         perm = AnchorPermutation(ANCHOR_ORDER_8)
-        with pytest.raises(DoublingError):
+        with pytest.raises(AssertionError, match="^emitted word failed verification$"):
             append_triples(x8, perm)  # x8 was never pair-doubled
 
 
@@ -297,18 +297,22 @@ class TestConstructDoubling:
 
     @staticmethod
     def _count_verifications(monkeypatch):
-        """Wrap each verifier wherever the subset builder and doubling look it up."""
+        """Wrap each verifier in ``ucycles.verify``, where every built word is
+        checked, and in doubling, which checks a supplied word itself."""
         calls = Counter()
-        for module in (ucycles.searchgen, ucycles.doubling):
-            for kind in ("subset", "multiset"):
-                name = f"verify_{kind}_ucycle"
-                original = getattr(module, name)
+        for module, kind in (
+            (ucycles.verify, "subset"),
+            (ucycles.verify, "multiset"),
+            (ucycles.doubling, "subset"),
+        ):
+            name = f"verify_{kind}_ucycle"
+            original = getattr(module, name)
 
-                def counted(word, t, _original=original, _kind=kind):
-                    calls[_kind] += 1
-                    return _original(word, t)
+            def counted(word, t, _original=original, _kind=kind):
+                calls[_kind] += 1
+                return _original(word, t)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_a_built_subset_word_is_verified_only_through_the_result(self, monkeypatch):

@@ -143,6 +143,12 @@ class TestDriver:
         with pytest.raises((InadmissibleError, ValueError)):
             construct_inductive(n)
 
+    def test_an_admissible_alphabet_off_the_lattice_is_not_inadmissible(self):
+        # n = 8 divides C(10, 3): the route refuses it, the family does not
+        with pytest.raises(ValueError, match="^the inductive path covers") as caught:
+            construct_inductive(8)
+        assert not isinstance(caught.value, InadmissibleError)
+
 
 class TestRoutesAgree:
     """Where both the inductive and the doubling route apply, both words verify."""

@@ -13,7 +13,9 @@ import pytest
 
 import ucycles.doubling
 import ucycles.euler
+import ucycles.inductive
 import ucycles.searchgen
+import ucycles.verify
 from ucycles.cli import main as cli_main
 from ucycles.core import CycleWord, canonicalize
 from ucycles.doubling import construct_doubling
@@ -251,6 +253,14 @@ class TestEulerFastPath:
         )
         for name in ("_gap_classes", "_unroll_circuit", "_root", "_pick_shape"):
             assert not hasattr(ucycles.searchgen, name), name
+
+    def test_built_words_are_verified_in_one_place(self):
+        # the search and the inductive route hold no verifier of their own:
+        # their words are checked by verify._emitted
+        for module in (ucycles.searchgen, ucycles.inductive):
+            for name in ("verify_multiset_ucycle", "verify_subset_ucycle"):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert ucycles.searchgen._emitted is ucycles.inductive._emitted is ucycles.verify._emitted
 
     @pytest.mark.parametrize("distinct, n", [(True, 7), (False, 4)])
     def test_tiny_alphabets_fall_back(self, distinct, n):
