@@ -44,7 +44,8 @@ from .searchgen import (
     find_multiset_ucycle,
 )
 from .ucyfile import format_ucy, load_ucy
-from .verify import admissible_multiset, verify_multiset_ucycle, verify_subset_ucycle
+from .verify import InadmissibleError, _require_admissible
+from .verify import verify_multiset_ucycle, verify_subset_ucycle
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -62,7 +63,8 @@ _FAILURES = (
     # every route returns its word through verify._emitted, which raises
     # AssertionError when the word fails: a bug of the library's own
     ((AssertionError,), EXIT_FAILED, "internal error"),
-    # InadmissibleError and UcyFormatError are ValueErrors
+    # InadmissibleError and UcyFormatError are ValueErrors; only the first has a row ahead
+    ((InadmissibleError,), EXIT_USAGE, "inadmissible"),
     ((OSError, ValueError), EXIT_USAGE, "error"),
 )
 
@@ -118,9 +120,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"--subset-input is read only by the doubling method, not {method}")
     if args.method == "auto":
         print(f"auto-selected method: {method}", file=sys.stderr)
-    if not admissible_multiset(n, t):
-        print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)
-        return EXIT_USAGE
+    _require_admissible(n, t, False)
     if method != "search" and t != 3:
         raise ValueError(f"the {method} method builds words for t=3 only")
     provenance: str | None = None
@@ -171,9 +171,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 0:
         raise ValueError("--workers must not be negative")
     budget = _pick_budget(args.budget, DEFAULT_COUNT_BUDGET)
-    if not admissible_multiset(n, t):
-        print(f"inadmissible: {n} does not divide C({n + t - 1},{t})", file=sys.stderr)
-        return EXIT_USAGE
+    _require_admissible(n, t, False)
     result = count_distinct(n, t, budget=budget, workers=args.workers)
     print(result.as_text())
     if not result.exhausted:

@@ -27,7 +27,7 @@ from operator import eq
 
 from .core import CycleWord, Letter, Pair, PairSet
 from .euler import _euler_block3
-from .verify import InadmissibleError, _emitted, verify_subset_ucycle
+from .verify import _emitted, _require_admissible, verify_subset_ucycle
 
 
 class InfeasiblePermutation(RuntimeError):
@@ -168,7 +168,8 @@ def append_triples(doubled: CycleWord, perm: AnchorPermutation) -> CycleWord:
 def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWord:
     """A verified ucycle on the 3-multisets of [n] via pair doubling.
 
-    Requires even n >= 8 with n not divisible by 3.  A 3-subset ucycle over
+    Requires even n >= 8 with n not divisible by 3 (``InadmissibleError``
+    from ``verify._require_admissible`` otherwise).  A 3-subset ucycle over
     [n] may be supplied, and is verified before use.  Otherwise the subset
     word is the shift-unrolled Euler block (``euler._euler_block3``), the word
     ``generate_subset_ucycle(n, 3)`` returns; it searches nothing and is
@@ -176,10 +177,7 @@ def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWo
     ``append_triples``.  A supplied word that fails raises ``ValueError``; a
     result that fails is the library's bug and raises ``AssertionError``.
     """
-    if n % 3 == 0:
-        raise InadmissibleError(
-            f"n={n} is divisible by 3, so n divides neither C({n},3) nor C({n}+2,3)"
-        )
+    _require_admissible(n, 3, False)
     if n % 2:
         raise ValueError(
             "pair doubling is defined for even alphabets only; "

@@ -34,13 +34,12 @@ from typing import Iterator
 from .core import CycleWord, Letter, canonicalize
 from .euler import _euler_block3
 from .verify import (
-    InadmissibleError,
     _emitted,
     _family,
     _family_size,
     _letter_primes,
+    _require_admissible,
     admissible_multiset,
-    admissible_subset,
 )
 
 DEFAULT_WITNESS_BUDGET = 10_000_000
@@ -253,19 +252,16 @@ def _find_ucycle(
 ) -> CycleWord:
     """The word both generators return, verified once as it is.
 
-    An n that does not divide the family size raises ``InadmissibleError``
-    before anything is built.  Unconstrained t=3 requests take the Euler
-    fast path (``_euler_block3``; at t=3 an admissible n is prime to 3),
-    which spends no nodes; everything else, and the tiniest alphabets, run
-    the witness search with the whole budget.  The search raises
+    An n that does not divide the family size, for any t, raises
+    ``InadmissibleError`` from ``verify._require_admissible`` before anything
+    is built.  Unconstrained t=3 requests take the Euler fast path
+    (``_euler_block3``; at t=3 an admissible n is prime to 3), which spends
+    no nodes; everything else, and the tiniest alphabets, run the witness
+    search with the whole budget.  The search raises
     ``SearchInfeasible`` when it is exhausted and ``SearchBudgetExceeded``
     when the budget runs out.  The word leaves through ``verify._emitted``.
     """
-    kind = "subset" if distinct else "multiset"
-    if not (admissible_subset if distinct else admissible_multiset)(n, t):
-        size = f"C({n},{t})" if distinct else f"C({n + t - 1},{t})"
-        raise InadmissibleError(f"n={n} does not divide {size}; no {kind} ucycle exists")
-    k = _family_size(n, t, distinct)
+    k = _require_admissible(n, t, distinct)
     if k < t:
         # only multisets over n=1 land here: the would-be cycle is shorter
         # than the window, so nothing can verify even though n divides the
@@ -287,6 +283,7 @@ def _find_ucycle(
         )
         letters = next(search.solutions(), None)
         if letters is None:
+            kind = "subset" if distinct else "multiset"
             raise SearchInfeasible(
                 f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"
             )
@@ -297,8 +294,6 @@ def generate_subset_ucycle(
     n: int, t: int, constraints: SearchConstraints | None = None
 ) -> CycleWord:
     """A ucycle on the t-subsets of [n] (see ``_find_ucycle``)."""
-    if t not in (2, 3):
-        raise ValueError("subset generation supports t in {2, 3}")
     return _find_ucycle(n, t, True, constraints or SearchConstraints())
 
 

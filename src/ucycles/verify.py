@@ -137,6 +137,14 @@ def admissible_subset(n: int, t: int) -> bool:
     return _family_size(n, t, True) % n == 0
 
 
+def _require_admissible(n: int, t: int, distinct: bool) -> int:
+    """The family size when n divides it, else ``InadmissibleError``: every
+    caller that needs an admissible (n, t) is refused here, in these words."""
+    if not (admissible_subset if distinct else admissible_multiset)(n, t):
+        raise InadmissibleError(f"{n} does not divide C({n if distinct else n + t - 1},{t})")
+    return _family_size(n, t, distinct)
+
+
 def _format_key(key: MultisetKey) -> str:
     return "{" + ",".join(map(str, key)) + "}"
 
