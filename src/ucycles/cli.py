@@ -17,7 +17,11 @@ an exception into an exit code and its one stderr line: ``main`` walks it
 and re-raises an exception of any other family.  So a route refusing an n
 outside its preconditions, an ``--out`` file that cannot be written and a
 ``--subset-input`` given to any route but doubling all end as ``error: …``
-and exit 2.  Every word ``gen`` builds, by any route, is verified once in
+and exit 2.  So does a ``gen`` or ``count`` request whose word would be
+longer than ``MAX_LETTERS``, refused before anything is allocated.  An n
+that does not divide the family size is refused by
+``verify._require_admissible`` and ends as ``inadmissible: …`` and exit 2.
+Every word ``gen`` builds, by any route, is verified once in
 ``verify._emitted`` before it is returned; a word that fails there is the
 library's bug, an ``AssertionError``, and ends as ``internal error: …`` and
 exit 1.
@@ -53,6 +57,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 MAX_REPORT_ITEMS = 50
+# The longest word gen builds or count searches over.  gen --t 3 peaks at
+# 110-135 bytes per letter, so this is about 2.7 GB; it admits t=2 n <= 6324,
+# t=3 n <= 492 and t=4 n <= 146.
+MAX_LETTERS = 20_000_000
 
 # Each family of failure, tried in order: the exit code and the label of the
 # one stderr line it ends with.  A closed stdout pipe, although an OSError, is
@@ -63,7 +71,7 @@ _FAILURES = (
     # every route returns its word through verify._emitted, which raises
     # AssertionError when the word fails: a bug of the library's own
     ((AssertionError,), EXIT_FAILED, "internal error"),
-    # InadmissibleError and UcyFormatError are ValueErrors; only the first has a row ahead
+    # InadmissibleError, like UcyFormatError, is a ValueError: its row must come first
     ((InadmissibleError,), EXIT_USAGE, "inadmissible"),
     ((OSError, ValueError), EXIT_USAGE, "error"),
 )
@@ -75,6 +83,14 @@ def _pick_budget(flag_value: int | None, default: int) -> int:
     if flag_value < 1:
         raise ValueError(f"--budget must be a positive integer, got {flag_value}")
     return flag_value
+
+
+def _require_buildable(n: int, t: int) -> None:
+    """Refuse, before anything is built, an (n, t) with no t-multiset ucycle
+    (``InadmissibleError``) or one longer than ``MAX_LETTERS`` (``ValueError``)."""
+    k = _require_admissible(n, t, False)
+    if k > MAX_LETTERS:
+        raise ValueError(f"n={n} t={t} asks for a word of {k} letters; the limit is {MAX_LETTERS}")
 
 
 def _auto_method(n: int, t: int) -> str:
@@ -120,7 +136,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"--subset-input is read only by the doubling method, not {method}")
     if args.method == "auto":
         print(f"auto-selected method: {method}", file=sys.stderr)
-    _require_admissible(n, t, False)
+    _require_buildable(n, t)
     if method != "search" and t != 3:
         raise ValueError(f"the {method} method builds words for t=3 only")
     provenance: str | None = None
@@ -171,7 +187,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 0:
         raise ValueError("--workers must not be negative")
     budget = _pick_budget(args.budget, DEFAULT_COUNT_BUDGET)
-    _require_admissible(n, t, False)
+    _require_buildable(n, t)
     result = count_distinct(n, t, budget=budget, workers=args.workers)
     print(result.as_text())
     if not result.exhausted:

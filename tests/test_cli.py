@@ -407,6 +407,19 @@ class TestFailureLines:
                 "gen --n 9 --t 3", 2,
                 "auto-selected method: search\ninadmissible: 9 does not divide C(11,3)\n",
             ),
+            ("count --n 3 --t 3", 2, "inadmissible: 3 does not divide C(5,3)\n"),
+            # a word longer than MAX_LETTERS is refused before it is allocated
+            (
+                "gen --n 999999 --t 2", 2,
+                "auto-selected method: search\n"
+                "error: n=999999 t=2 asks for a word of 499999500000 letters; "
+                "the limit is 20000000\n",
+            ),
+            (
+                "count --n 999999 --t 2", 2,
+                "error: n=999999 t=2 asks for a word of 499999500000 letters; "
+                "the limit is 20000000\n",
+            ),
         ],
     )
     def test_exact_stderr(self, tmp_path, monkeypatch, argv, code, stderr):

@@ -127,8 +127,15 @@ class TestSubsetGeneration:
             generate_subset_ucycle(5, 3)
 
     def test_unsupported_window_size(self):
-        with pytest.raises(ValueError):
+        # no window-size rule: 8 does not divide C(8, 4) = 70
+        with pytest.raises(InadmissibleError):
             generate_subset_ucycle(8, 4)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_admissible_four_subsets_are_searched(self, n):
+        word = generate_subset_ucycle(n, 4)
+        assert len(word) == math.comb(n, 4)
+        assert verify_subset_ucycle(word, 4).ok
 
     def test_budget_exception_carries_node_count(self):
         with pytest.raises(SearchBudgetExceeded) as info:
@@ -141,6 +148,21 @@ class TestSubsetGeneration:
         error = pickle.loads(pickle.dumps(SearchBudgetExceeded("node budget 5 exhausted", 6)))
         assert type(error) is SearchBudgetExceeded
         assert (str(error), error.nodes) == ("node budget 5 exhausted", 6)
+
+
+@pytest.mark.parametrize(
+    "build, args, text",
+    [
+        (find_multiset_ucycle, (9, 3), "9 does not divide C(11,3)"),
+        (generate_subset_ucycle, (6, 3), "6 does not divide C(6,3)"),
+        (construct_doubling, (9,), "9 does not divide C(11,3)"),
+    ],
+)
+def test_every_front_refuses_in_one_text(build, args, text):
+    # the text cli.gen prints after "inadmissible: ", from verify._require_admissible
+    with pytest.raises(InadmissibleError) as caught:
+        build(*args)
+    assert str(caught.value) == text
 
 
 class TestMultisetGeneration:
