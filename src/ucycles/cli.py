@@ -232,7 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--t", type=int, required=True)
     p_count.add_argument("--budget", type=int, help="per-branch node budget")
-    p_count.add_argument("--workers", type=int, help="parallelize over this many processes")
+    p_count.add_argument(
+        "--workers", type=int,
+        help="run the (at most three) branches over this many processes: this one and "
+        "at most two os.fork children (POSIX), no process pool",
+    )
     p_count.add_argument(
         "--list",
         action="store_true",

@@ -15,10 +15,10 @@ of the complete graph on [n] (with loops for multisets); the pass finds a
 multiset one for n = 51, 101, 201 in 0.02, 0.1, 0.5 s (2-core Xeon) but runs
 out of the default budget at n = 401 (3 s).  Windows are integer codes.
 
-Counting can spread its branches over a process pool.  The pool is imported
-on the first call that asks for workers, not with this module, so importing
-the package or the CLI loads neither ``concurrent.futures`` nor
-``multiprocessing``.
+Counting can spread its (at most three) branches over processes: the caller
+runs one share itself and forks one child per other share with ``os.fork``
+(POSIX only), so a count forks at most two children and imports no process
+pool module.
 
 Everything is deterministic: identical inputs always yield identical outputs
 and node counts.  A node is one attempted letter placement; searches stop
@@ -27,7 +27,9 @@ with an error when the node budget runs out.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -329,7 +331,7 @@ class CountResult:
 
 
 def _count_branch(
-    args: tuple[int, int, Letter | None, int | None]
+    n: int, t: int, second: Letter | None, budget: int | None
 ) -> tuple[set[tuple[Letter, ...]], int, bool]:
     # Anchoring: every multiset ucycle contains the window {x,..,x} exactly
     # once for each letter x, so rotating to that run and renaming letters
@@ -338,7 +340,6 @@ def _count_branch(
     # letter after the run is then 2 (when the word is longer than t + 1),
     # and the one after that is 1, 2 or 3 (``second``).  Enumerating these
     # words reaches every class at least once; canonicalize dedupes.
-    n, t, second, budget = args
     fixed = {i: 1 for i in range(t)}
     if second is not None:
         fixed[t] = 2
@@ -352,6 +353,62 @@ def _count_branch(
     except SearchBudgetExceeded:
         exhausted = False
     return reps, search.nodes, exhausted
+
+
+def _count_branches(
+    n: int, t: int, seconds: list[Letter | None], budget: int | None, workers: int | None
+) -> list[tuple[set[tuple[Letter, ...]], int, bool]]:
+    """``_count_branch`` of every branch, over w = min(workers or 1, branches)
+    processes: the caller runs branches 0, w, 2w, ... and each of w - 1 forked
+    children runs its own share and sends the results back marshalled.
+
+    A child leaves only through ``os._exit``; one that exits non-zero or
+    sends truncated data raises ``RuntimeError``.  However the call ends,
+    every child it forked has been reaped, killed first if still running.
+    """
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must not be negative, got {workers}")
+    w = min(workers or 1, len(seconds))
+    pids: list[int] = []
+    pipes = []
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(wr, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        share = [_count_branch(n, t, s, budget) for s in seconds[i::w]]
+                        sink.write(marshal.dumps(share))
+                        sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        results = [_count_branch(n, t, s, budget) for s in seconds[::w]]
+        for pipe in pipes:
+            data = pipe.read()
+            pid, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if status:
+                raise RuntimeError(f"count worker {pid} failed (wait status {status})")
+            try:
+                results += marshal.loads(data)
+            except (EOFError, ValueError, TypeError) as exc:
+                raise RuntimeError(f"count worker {pid} sent truncated results") from exc
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            # imported on this failure path only: a count's cold start skips it
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _fold_reflection(n: int, rep: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -371,10 +428,11 @@ def count_distinct(
     enumerated.  A branch is one choice of the letter two places after the
     anchored run ``1..1 2`` (1, 2 or 3), so there are at most three; for
     n = 2 a single branch pins only the run.  The node budget applies to
-    each branch, and a pool of ``workers`` processes starts at most one
-    worker per branch; results are identical whether the branches run
-    sequentially or in parallel.  The pool's module is imported on the
-    first call with ``workers``, so a sequential count loads none of it.
+    each branch.  With ``workers`` above 1 the caller runs one share of
+    the branches itself and forks (POSIX ``os.fork``) one child per other
+    share, at most one process per branch, so at most two children; no
+    pool module is imported.  ``workers`` None, 0 or 1 forks nothing.
+    Results, node counts and representatives are identical either way.
     """
     if not admissible_multiset(n, t):
         return CountResult(n, t, 0, 0, exhausted=True, nodes_visited=0)
@@ -388,20 +446,10 @@ def count_distinct(
         )
     # n = 2 words have t + 1 letters, so only the run itself can be pinned
     seconds = [None] if n == 2 else [1, 2, 3]
-    branch_args = [(n, t, second, budget) for second in seconds]
-    if workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the fork start method starts every worker up front: no more than
-        # there are branches to run
-        with ProcessPoolExecutor(max_workers=min(workers, len(branch_args))) as pool:
-            results = list(pool.map(_count_branch, branch_args))
-    else:
-        results = [_count_branch(a) for a in branch_args]
     reps: set[tuple[Letter, ...]] = set()
     nodes = 0
     exhausted = True
-    for branch_reps, branch_nodes, branch_done in results:
+    for branch_reps, branch_nodes, branch_done in _count_branches(n, t, seconds, budget, workers):
         reps |= branch_reps
         nodes += branch_nodes
         exhausted = exhausted and branch_done

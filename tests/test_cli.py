@@ -187,7 +187,7 @@ def run_fresh(code):
 
 
 class TestColdStart:
-    """The process pool is loaded only by a count that asks for workers."""
+    """No process pool is loaded, not even by a count that asks for workers."""
 
     def test_importing_the_cli_loads_no_pool(self):
         r = run_fresh(
@@ -213,11 +213,13 @@ class TestColdStart:
 
     def test_workers_still_count(self):
         r = run_fresh(
-            "from ucycles.searchgen import count_distinct; "
-            "print(count_distinct(5, 2, workers=2).as_text())"
+            "import sys; from ucycles.searchgen import count_distinct; "
+            "print(count_distinct(5, 2, workers=2).as_text()); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
         )
         assert r.returncode == 0, r.stderr
-        assert r.stdout == "5 2 72 36 true 19565\n"
+        assert r.stdout == "5 2 72 36 true 19565\n[]\n"
 
 
 def _run_in_process(argv):

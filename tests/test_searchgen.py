@@ -1,6 +1,7 @@
 """Backtracking generation, the Euler construction (``ucycles.euler``) and counting."""
 
 import hashlib
+import marshal
 import math
 import os
 import pickle
@@ -344,33 +345,87 @@ class TestCounting:
             par.nodes_visited,
         )
 
-    def test_workers_bounded_by_branches(self, monkeypatch):
-        # fork starts every worker of the pool up front, so the pool must not
-        # be larger than the (at most three) branches; the stand-in runs
-        # them inline
-        class InlinePool:
-            def __init__(self, max_workers):
-                assert 1 <= max_workers <= 3
-                sizes.append(max_workers)
+    def test_workers_bounded_by_branches(self, monkeypatch, capsys):
+        # the caller runs one share of the (at most three) branches itself
+        # and forks one child per other share
+        forks = []
+        fork = os.fork
 
-            def __enter__(self):
-                return self
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-        sizes: list[int] = []
-        # count_distinct imports the pool from its module when it needs one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         seq = count_distinct(4, 3)
-        for workers in (3, 64):
+        assert forks == []
+        for workers, expected in ((None, 0), (0, 0), (1, 0), (2, 1), (3, 2), (64, 2)):
+            forks.clear()
             r = count_distinct(4, 3, workers=workers)
-            assert (r.count_rot_relabel, r.nodes_visited) == (seq.count_rot_relabel, seq.nodes_visited)
+            assert len(forks) == expected, workers
+            assert (r.as_text(), r.representatives) == (seq.as_text(), seq.representatives)
+        forks.clear()
         assert cli_main(["count", "--n", "4", "--t", "3", "--workers", "1000"]) == 0
-        assert sizes == [3, 3, 3]
+        assert len(forks) == 2
+        assert capsys.readouterr().out == seq.as_text() + "\n"
+        with pytest.raises(ValueError, match="^workers must not be negative"):
+            count_distinct(4, 3, workers=-1)
+
+    @pytest.mark.parametrize("n, t, budget", [(4, 3, None), (3, 7, None), (5, 2, None),
+                                              *sorted(BUDGETED_COUNT_AS_TEXT)])
+    def test_workers_give_identical_results(self, n, t, budget):
+        seq = count_distinct(n, t, budget=budget)
+        for workers in (1, 2, 3):
+            r = count_distinct(n, t, budget=budget, workers=workers)
+            assert (r.as_text(), r.representatives) == (seq.as_text(), seq.representatives)
+
+    def test_no_child_left_running(self):
+        assert count_distinct(5, 2, workers=3).as_text() == "5 2 72 36 true 19565"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    class Boom(Exception):
+        pass
+
+    def _raise_on(self, monkeypatch, failing_second):
+        count_branch = ucycles.searchgen._count_branch
+
+        def failing(n, t, second, budget):
+            if second == failing_second:
+                raise self.Boom(second)
+            return count_branch(n, t, second, budget)
+
+        # a forked child inherits the patch
+        monkeypatch.setattr(ucycles.searchgen, "_count_branch", failing)
+
+    def test_a_failing_child_is_an_error_and_reaps_every_child(self, monkeypatch):
+        # the first child's branch (second letter 2) raises there, so the
+        # other child may still be running when the parent gives up
+        self._raise_on(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^count worker .* failed"):
+            count_distinct(4, 3, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_truncated_results_are_an_error(self, monkeypatch):
+        class Truncating:
+            loads = staticmethod(marshal.loads)
+
+            @staticmethod
+            def dumps(value):
+                return marshal.dumps(value)[:-1]
+
+        monkeypatch.setattr(ucycles.searchgen, "marshal", Truncating)
+        with pytest.raises(RuntimeError, match="^count worker .* sent truncated results$"):
+            count_distinct(4, 3, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_callers_own_failure_propagates_and_reaps_every_child(self, monkeypatch):
+        self._raise_on(monkeypatch, 1)  # the caller's own share
+        with pytest.raises(self.Boom):
+            count_distinct(4, 3, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "n, t",
