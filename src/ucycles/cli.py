@@ -17,10 +17,11 @@ an exception into an exit code and its one stderr line: ``main`` walks it
 and re-raises an exception of any other family.  So a route refusing an n
 outside its preconditions, an ``--out`` file that cannot be written and a
 ``--subset-input`` given to any route but doubling all end as ``error: …``
-and exit 2.  So does a ``gen`` or ``count`` request whose word would be
-longer than ``MAX_LETTERS``, refused before anything is allocated.  An n
-that does not divide the family size is refused by
-``verify._require_admissible`` and ends as ``inadmissible: …`` and exit 2.
+and exit 2.  Before reading or allocating, ``gen`` and ``count`` pass (n, t)
+through ``verify._require_admissible``, the gate every library front shares:
+an n or t below 1 or a word longer than ``verify.MAX_LETTERS`` ends as
+``error: …``, an n that does not divide the family size as ``inadmissible: …``,
+both exit 2.
 Every word ``gen`` builds, by any route, is verified once in
 ``verify._emitted`` before it is returned; a word that fails there is the
 library's bug, an ``AssertionError``, and ends as ``internal error: …`` and
@@ -48,7 +49,7 @@ from .searchgen import (
     find_multiset_ucycle,
 )
 from .ucyfile import format_ucy, load_ucy
-from .verify import InadmissibleError, _require_admissible
+from .verify import InadmissibleError, _require_admissible, admissible_multiset
 from .verify import verify_multiset_ucycle, verify_subset_ucycle
 
 EXIT_OK = 0
@@ -57,11 +58,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 MAX_REPORT_ITEMS = 50
-# The longest word gen builds or count searches over.  gen --t 3 peaks at
-# 110-135 bytes per letter, so this is about 2.7 GB, and the letter search at
-# about 355 (178 MB RSS for gen --n 1001 --t 2 --method search --budget 1), so
-# about 7 GB.  It admits t=2 n <= 6324, t=3 n <= 492 and t=4 n <= 146.
-MAX_LETTERS = 20_000_000
 
 # Each family of failure, tried in order: the exit code and the label of the
 # one stderr line it ends with.  A closed stdout pipe, although an OSError, is
@@ -86,20 +82,13 @@ def _pick_budget(flag_value: int | None, default: int) -> int:
     return flag_value
 
 
-def _require_buildable(n: int, t: int) -> None:
-    """Refuse, before anything is built, an (n, t) with no t-multiset ucycle
-    (``InadmissibleError``) or one longer than ``MAX_LETTERS`` (``ValueError``)."""
-    k = _require_admissible(n, t, False)
-    if k > MAX_LETTERS:
-        raise ValueError(f"n={n} t={t} asks for a word of {k} letters; the limit is {MAX_LETTERS}")
-
-
 def _auto_method(n: int, t: int) -> str:
-    """The construction whose preconditions (n, t) meets, else the search."""
-    if t == 3:
+    """The construction whose preconditions (n, t) meets, else the search; an
+    n or t below 1 raises ``ValueError`` here, before the choice is printed."""
+    if admissible_multiset(n, t) and t == 3:  # so n is prime to 3
         if n % 3 == 1 and n >= 4:
             return "inductive"
-        if n % 2 == 0 and n % 3 != 0 and n >= 8:
+        if n % 2 == 0 and n >= 8:
             return "doubling"
     return "search"
 
@@ -129,15 +118,13 @@ def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None)
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n, t = args.n, args.t
-    if n < 1 or t < 1:
-        raise ValueError("--n and --t must be positive")
     budget = _pick_budget(args.budget, DEFAULT_WITNESS_BUDGET)
     method = _auto_method(n, t) if args.method == "auto" else args.method
     if args.subset_input and method != "doubling":
         raise ValueError(f"--subset-input is read only by the doubling method, not {method}")
     if args.method == "auto":
         print(f"auto-selected method: {method}", file=sys.stderr)
-    _require_buildable(n, t)
+    _require_admissible(n, t, False)
     if method != "search" and t != 3:
         raise ValueError(f"the {method} method builds words for t=3 only")
     provenance: str | None = None
@@ -183,12 +170,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     n, t = args.n, args.t
-    if n < 1 or t < 1:
-        raise ValueError("--n and --t must be positive")
-    if args.workers is not None and args.workers < 0:
-        raise ValueError("--workers must not be negative")
     budget = _pick_budget(args.budget, DEFAULT_COUNT_BUDGET)
-    _require_buildable(n, t)
+    _require_admissible(n, t, False)
     result = count_distinct(n, t, budget=budget, workers=args.workers)
     print(result.as_text())
     if not result.exhausted:

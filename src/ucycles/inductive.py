@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .core import CycleWord, Letter
-from .verify import _emitted
+from .verify import _emitted, _require_admissible
 
 # Base pair: a universal cycle on the 3-multisets of [4], and the extension
 # that grows it to one over [7].  Both are fixed seeds of the induction.
@@ -127,7 +127,9 @@ def _next_extension(extension: Sequence[Letter], m: int) -> list[Letter]:
 
 
 def construct_inductive(n: int) -> CycleWord:
-    """A verified universal cycle on the 3-multisets of [n], for n = 3k+1 >= 4."""
+    """A verified universal cycle on the 3-multisets of [n], for n = 3k+1 >= 4
+    (checked after ``verify._require_admissible``, the gate of every front)."""
+    _require_admissible(n, 3, False)
     if n < 4 or n % 3 != 1:
         raise ValueError(
             f"the inductive path covers n = 3k+1 with n >= 4 only; "

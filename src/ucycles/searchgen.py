@@ -36,12 +36,12 @@ from typing import Iterator
 from .core import CycleWord, Letter, canonicalize
 from .euler import _euler_block3
 from .verify import (
+    InadmissibleError,
     _emitted,
     _family,
     _family_size,
     _letter_primes,
     _require_admissible,
-    admissible_multiset,
 )
 
 DEFAULT_WITNESS_BUDGET = 10_000_000
@@ -252,9 +252,9 @@ def _find_ucycle(
 ) -> CycleWord:
     """The word both generators return, verified once as it is.
 
-    An n that does not divide the family size, for any t, raises
-    ``InadmissibleError`` from ``verify._require_admissible`` before anything
-    is built.  Unconstrained t=3 requests take the Euler fast path
+    An (n, t) that ``verify._require_admissible`` refuses (an n that does
+    not divide the family size, or a family above ``verify.MAX_LETTERS``)
+    raises before anything is built.  Unconstrained t=3 requests take the Euler fast path
     (``_euler_block3``; at t=3 an admissible n is prime to 3), which spends
     no nodes; everything else, and the tiniest alphabets, run the witness
     search with the whole budget.  The search raises
@@ -366,8 +366,6 @@ def _count_branches(
     sends truncated data raises ``RuntimeError``.  However the call ends,
     every child it forked has been reaped, killed first if still running.
     """
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must not be negative, got {workers}")
     w = min(workers or 1, len(seconds))
     pids: list[int] = []
     pipes = []
@@ -433,8 +431,14 @@ def count_distinct(
     share, at most one process per branch, so at most two children; no
     pool module is imported.  ``workers`` None, 0 or 1 forks nothing.
     Results, node counts and representatives are identical either way.
+    A negative ``workers``, then what ``verify._require_admissible`` refuses,
+    raise ``ValueError`` before any search, but an inadmissible n has no class.
     """
-    if not admissible_multiset(n, t):
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must not be negative, got {workers}")
+    try:
+        _require_admissible(n, t, False)
+    except InadmissibleError:
         return CountResult(n, t, 0, 0, exhausted=True, nodes_visited=0)
     if n == 1:
         # The only cycle over [1] has length C(t, t) = 1: the word "1" is a

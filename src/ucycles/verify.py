@@ -137,12 +137,22 @@ def admissible_subset(n: int, t: int) -> bool:
     return _family_size(n, t, True) % n == 0
 
 
+# The longest word any front builds or searches over: about 2 GB at 100 bytes
+# a letter (gen --n 490 --t 3 peaks at 1 889 MB), 7 GB at the letter search's
+# 355.  It admits t=2 n <= 6324, t=3 n <= 492 and t=4 n <= 146; a search near
+# it still runs out of 1 GB, as generate_subset_ucycle(6323, 2) does.
+MAX_LETTERS = 20_000_000
+
+
 def _require_admissible(n: int, t: int, distinct: bool) -> int:
-    """The family size when n divides it, else ``InadmissibleError``: every
-    caller that needs an admissible (n, t) is refused here, in these words."""
+    """The family size when n divides it (else ``InadmissibleError``) and it is
+    at most ``MAX_LETTERS`` (else ``ValueError``): every front is refused here."""
     if not (admissible_subset if distinct else admissible_multiset)(n, t):
         raise InadmissibleError(f"{n} does not divide C({n if distinct else n + t - 1},{t})")
-    return _family_size(n, t, distinct)
+    k = _family_size(n, t, distinct)
+    if k > MAX_LETTERS:
+        raise ValueError(f"n={n} t={t} asks for a word of {k} letters; the limit is {MAX_LETTERS}")
+    return k
 
 
 def _format_key(key: MultisetKey) -> str:

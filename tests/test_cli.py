@@ -123,6 +123,8 @@ class TestUsageErrors:
             ("gen", "--n", "0", "--t", "3"),
             ("gen", "--n", "3", "--t", "0"),
             ("count", "--n", "4", "--t", "3", "--workers", "-1"),
+            # a count over [1] runs no branch, but a negative --workers is still refused
+            ("count", "--n", "1", "--t", "3", "--workers", "-1"),
             ("count", "--n", "4", "--t", "3", "--budget", "-1"),
             ("gen", "--n", "13", "--t", "3", "--method", "search", "--budget", "0"),
             (

@@ -367,8 +367,10 @@ class TestCounting:
         assert cli_main(["count", "--n", "4", "--t", "3", "--workers", "1000"]) == 0
         assert len(forks) == 2
         assert capsys.readouterr().out == seq.as_text() + "\n"
-        with pytest.raises(ValueError, match="^workers must not be negative"):
-            count_distinct(4, 3, workers=-1)
+        # refused before the returns for n=1 and an inadmissible n, too
+        for n in (4, 1, 3):
+            with pytest.raises(ValueError, match="^workers must not be negative, got -1$"):
+                count_distinct(n, 3, workers=-1)
 
     @pytest.mark.parametrize("n, t, budget", [(4, 3, None), (3, 7, None), (5, 2, None),
                                               *sorted(BUDGETED_COUNT_AS_TEXT)])

@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -261,6 +266,45 @@ class TestAdmissibility:
             admissible_multiset(0, 3)
         with pytest.raises(ValueError):
             admissible_subset(2, 3)  # needs n >= t
+
+
+class TestSizeLimit:
+    """Every library front refuses a word longer than ``MAX_LETTERS``, 2·10⁷
+    letters, in the admissibility gate, before it allocates anything for it."""
+
+    @pytest.mark.parametrize(
+        "module, call, n, t, distinct",
+        [
+            ("searchgen", "find_multiset_ucycle(999999, 2)", 999999, 2, False),
+            ("searchgen", "generate_subset_ucycle(6327, 2)", 6327, 2, True),
+            ("inductive", "construct_inductive(493)", 493, 3, False),
+            ("doubling", "construct_doubling(494)", 494, 3, False),
+            ("searchgen", "count_distinct(999999, 2)", 999999, 2, False),
+        ],
+    )
+    def test_oversized_request_is_refused_in_a_small_address_space(self, module, call, n, t, distinct):
+        # in a child limited to 1 GiB of address space, where building or
+        # searching over the word would end in MemoryError
+        child = textwrap.dedent(
+            f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from ucycles.{module} import {call.split("(")[0]}
+            try:
+                {call}
+            except ValueError as exc:
+                print(exc)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        k = math.comb(n, t) if distinct else math.comb(n + t - 1, t)
+        assert k > 20_000_000
+        assert done.stdout == f"n={n} t={t} asks for a word of {k} letters; the limit is 20000000\n"
 
 
 class TestFamily:
