@@ -95,8 +95,9 @@ def _auto_method(n: int, t: int) -> str:
 
 def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None) -> int:
     """Print the verified word, or write it to ``out``; a file that cannot be
-    written raises OSError, and an ``out`` that is its own sidecar's path
-    raises ValueError."""
+    written raises OSError (a sidecar that cannot be written takes the word
+    file back out), and an ``out`` that is its own sidecar's path raises
+    ValueError."""
     if out and provenance is not None and Path(out).suffix == ".provenance":
         # the sidecar would overwrite the word: refuse before writing either
         raise ValueError(f"--out {out} is the path of its own .provenance sidecar")
@@ -105,7 +106,11 @@ def _emit_word(word: CycleWord, t: int, out: str | None, provenance: str | None)
     if out:
         Path(out).write_text(payload, encoding="utf-8")
         if provenance is not None:
-            Path(out).with_suffix(".provenance").write_text(provenance, encoding="utf-8")
+            try:
+                Path(out).with_suffix(".provenance").write_text(provenance, encoding="utf-8")
+            except OSError:
+                Path(out).unlink()
+                raise
         print(verified, file=sys.stderr)
         print(f"wrote {out}", file=sys.stderr)
     else:

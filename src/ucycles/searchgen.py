@@ -7,13 +7,15 @@ consumed, wrap windows included.  Unconstrained t=3 requests first try the
 Euler construction of ``euler`` (see ``_find_ucycle``).
 
 The witness search is one depth-first pass that tries letters in ascending
-order.  It prunes only by the pinned positions, by each letter's count
-((family size)/n, forced by the family) and, when the only pins are an
+order after a pinned prefix; a required suffix is met by searching the
+rotation that starts with it.  It prunes only by the pins, by each letter's
+count ((family size)/n, forced by the family) and, when the only pins are an
 anchor at the front (unpinned requests and counting branches), by
 first-occurrence order of the letters.  For t=2 a ucycle is an Euler circuit
 of the complete graph on [n] (with loops for multisets); the pass finds a
-multiset one for n = 51, 101, 201 in 0.02, 0.1, 0.5 s (2-core Xeon) but runs
-out of the default budget at n = 401 (3 s).  Windows are integer codes.
+multiset one for n = 51, 101, 201 in 0.007, 0.04, 0.35 s (2-core Xeon,
+CPython 3.11) but runs out of the default budget at n = 401 (1.9 s).
+Windows are integer codes.
 
 Counting can spread its (at most three) branches over processes: the caller
 runs one share itself and forks one child per other share with ``os.fork``
@@ -78,11 +80,13 @@ class _CoverSearch:
     Every letter occurs (family size)/n times, so when n does not divide
     the family size there is no word.
 
-    ``fixed`` pins letters at given positions (prefixes, suffixes, anchors).
-    ``solutions()`` yields complete words in lexicographic order of the free
-    positions; ``self.nodes`` counts attempted placements and is up to date
-    at each yield and once the generator ends, runs out of budget or is
-    closed.
+    ``prefix`` pins the first letters (an anchor, or a request's suffix then
+    prefix).  ``solutions()`` yields complete words in lexicographic order of
+    the free positions after it; ``self.nodes`` counts attempted placements
+    and is up to date at each yield and once the generator ends, runs out of
+    budget or is closed.  Free position p checks the window that ends at it
+    (none while p < t-1), the last one also the t-1 windows that wrap, and
+    the set-up the windows inside the prefix.
 
     The family and the windows already used are sets of integer codes, the
     verifier's: letter x stands for the x-th prime (``verify._letter_primes``)
@@ -97,7 +101,7 @@ class _CoverSearch:
         n: int,
         t: int,
         distinct: bool,
-        fixed: dict[int, Letter],
+        prefix: tuple[Letter, ...],
         node_budget: int | None,
         relabel_symmetric: bool = False,
     ):
@@ -105,29 +109,22 @@ class _CoverSearch:
         self.t = t
         self.distinct = distinct
         self.k = _family_size(n, t, distinct)
-        self.fixed = dict(fixed)
+        self.prefix = tuple(prefix)
         self.node_budget = node_budget
         # The family is closed under letter permutation, so this is valid
-        # when pinning does not break first-occurrence order: the pins must
-        # be a leading prefix (possibly empty) whose letters already appear
-        # in first-occurrence order, such as a rotation anchor 1..1 or
-        # 1..1 2 x.
+        # when the prefix (possibly empty) already introduces its letters in
+        # first-occurrence order, such as a rotation anchor 1..1 or 1..1 2 x.
         # Then some witness introduces letters in first-occurrence order, so
         # children above max_used+1 can be skipped, where max_used starts at
         # the prefix's largest letter.
-        prefix = [self.fixed.get(i) for i in range(len(self.fixed))]
-        ordered = None not in prefix and all(
-            v <= max(prefix[:i], default=0) + 1 for i, v in enumerate(prefix)
-        )
+        ordered = all(v <= max(prefix[:i], default=0) + 1 for i, v in enumerate(prefix))
         self.relabel_symmetric = relabel_symmetric and ordered
-        self.prefix_max = max(prefix, default=0) if ordered else 0
         self.nodes = 0
 
     def solutions(self) -> Iterator[tuple[Letter, ...]]:
-        n, t, k, fixed = self.n, self.t, self.k, self.fixed
-        pos = list(range(k))  # one int per position, shared by free and the windows
-        word: list[Letter] = [fixed.get(p, 0) for p in pos]
-        free = [p for p in pos if p not in fixed]
+        n, t, k, prefix = self.n, self.t, self.k, self.prefix
+        a = len(prefix)
+        m = k - a  # free positions a..k-1
 
         # By symmetry every letter fills t·k/n window slots, and each of its
         # positions feeds exactly t windows: it occurs k/n times.
@@ -135,61 +132,63 @@ class _CoverSearch:
             return
         bound = k // n
         counts = [0] * (n + 1)
-        for v in fixed.values():
+        for v in prefix:
             counts[v] += 1
         if max(counts) > bound:
             return
 
         # a window's code is the product of its letters' primes; pr[p] is
-        # the prime of the letter at position p (0 while p is free)
+        # the prime of the letter at position p (0 while p is free), and t-1
+        # slots after the word repeat its first t-1 for the wrapping windows
         prime = _letter_primes(n)
         prod = math.prod
+        word = list(prefix) + [0] * m
         pr = [prime[v] for v in word]
+        pr += pr[: t - 1]
         target = {prod(map(prime.__getitem__, key)) for key in _family(n, t, self.distinct)}
 
-        # Window j covers positions j..j+t-1 (mod k).  It is checked at the
-        # moment its last free position (in ascending fill order) is placed;
-        # fully pinned windows are checked up front.
-        trigger: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+        # the window starting at j covers pr[j : j+t]; those inside the
+        # prefix are checked up front, the wrapping ones too when the prefix
+        # is the whole word
         used: set[int] = set()
-        for j in range(k):
-            poss = tuple(pos[(j + i) % k] for i in range(t))
-            fr = [p for p in poss if p not in fixed]
-            if fr:
-                trigger[max(fr)].append(poss)
-            else:
-                code = prod(map(pr.__getitem__, poss))
-                if code not in target or code in used:
-                    return
-                used.add(code)
+        for j in range(a - t + 1 if m else k):
+            code = prod(pr[j : j + t])
+            if code not in target or code in used:
+                return
+            used.add(code)
 
-        if not free:
+        if not m:
             yield tuple(word)
             return
 
-        m = len(free)
         nxt = [1] * m  # next letter to try at each depth
         added: list[list[int]] = [[]] * m  # each slot replaced as its depth is filled
         maxu = [0] * m
         symmetric = self.relabel_symmetric
         budget = self.node_budget
-        # the pinned prefix already introduced letters 1..prefix_max before
+        # the pinned prefix already introduced letters 1..max(prefix) before
         # any free position, so first-occurrence order starts above them
-        base_prev = self.prefix_max
+        base_prev = max(prefix, default=0)
+        last = k - 1
         # counted in a local and written back before each yield and on the
         # way out (exhausted, out of budget or closed), where callers read it
         nodes = self.nodes
         d = 0
         try:
             while d >= 0:
-                p = free[d]
+                p = a + d
                 if symmetric:
                     prev = maxu[d - 1] if d else base_prev
                     cap = prev + 1 if prev < n else n
                 else:
                     prev = 0
                     cap = n
-                windows = trigger[p]
+                # the starts of the windows this position completes
+                if p == last:
+                    pr[k:] = pr[: t - 1]
+                    starts = range(k - t, k)
+                else:
+                    starts = (p - t + 1,) if p >= t - 1 else ()
                 for letter in range(nxt[d], cap + 1):
                     nodes += 1
                     if budget is not None and nodes > budget:
@@ -200,8 +199,8 @@ class _CoverSearch:
                         word[p] = letter
                         pr[p] = prime[letter]
                         codes_new: list[int] = []
-                        for poss in windows:
-                            code = prod(map(pr.__getitem__, poss))
+                        for j in starts:
+                            code = prod(pr[j : j + t])
                             if code in used or code not in target:
                                 break
                             used.add(code)
@@ -220,10 +219,10 @@ class _CoverSearch:
                     nxt[d] = 1
                     d -= 1
                     if d >= 0:
-                        counts[word[free[d]]] -= 1
+                        counts[word[a + d]] -= 1
                         used.difference_update(added[d])
                     continue
-                if d == m - 1:
+                if p == last:
                     self.nodes = nodes
                     yield tuple(word)
                     counts[word[p]] -= 1
@@ -234,17 +233,15 @@ class _CoverSearch:
             self.nodes = nodes
 
 
-def _fixed_from_constraints(c: SearchConstraints, n: int, k: int) -> dict[int, Letter]:
+def _prefix_from_constraints(c: SearchConstraints, n: int, k: int) -> tuple[Letter, ...]:
+    """The pins of the rotation that starts with the required suffix."""
     if len(c.required_prefix) + len(c.required_suffix) > k:
         raise ValueError("prefix and suffix longer than the word itself")
     for v in (*c.required_prefix, *c.required_suffix):
         # checked like a CycleWord letter: an int (bools included) in 1..n
         if not (isinstance(v, int) and 1 <= v <= n):
             raise ValueError(f"fixed letter {v!r} out of range 1..{n}")
-    # no overlap: the two fit in the word side by side
-    fixed = dict(enumerate(c.required_prefix))
-    fixed.update(enumerate(c.required_suffix, k - len(c.required_suffix)))
-    return fixed
+    return (*c.required_suffix, *c.required_prefix)
 
 
 def _find_ucycle(
@@ -267,19 +264,19 @@ def _find_ucycle(
         # than the window, so nothing can verify even though n divides the
         # count
         raise SearchInfeasible(f"a cycle of length {k} has no windows of size {t}")
-    fixed = _fixed_from_constraints(c, n, k)
-    symmetric = not c.required_prefix and not c.required_suffix
+    prefix = _prefix_from_constraints(c, n, k)
+    symmetric = not prefix
     if symmetric and not distinct:
         # full coverage includes the all-ones window; rotating it to the
         # front and relabeling costs nothing, so pin the leading run
-        fixed = {i: 1 for i in range(t)}
+        prefix = (1,) * t
     # Fast path: a shift-symmetric word built from an Euler circuit of the
     # gap digraph; the witness search runs when the construction finds no
     # pick.
     letters = _euler_block3(n, distinct) if symmetric and t == 3 else None
     if letters is None:
         search = _CoverSearch(
-            n, t, distinct, fixed, c.node_budget, relabel_symmetric=symmetric
+            n, t, distinct, prefix, c.node_budget, relabel_symmetric=symmetric
         )
         letters = next(search.solutions(), None)
         if letters is None:
@@ -287,6 +284,9 @@ def _find_ucycle(
             raise SearchInfeasible(
                 f"no {t}-{kind} ucycle over [{n}] satisfies the constraints"
             )
+        # the search ran on the rotation that starts with the suffix
+        b = len(c.required_suffix)
+        letters = letters[b:] + letters[:b]
     return _emitted(CycleWord(n, letters), t, distinct)
 
 
@@ -340,11 +340,8 @@ def _count_branch(
     # letter after the run is then 2 (when the word is longer than t + 1),
     # and the one after that is 1, 2 or 3 (``second``).  Enumerating these
     # words reaches every class at least once; canonicalize dedupes.
-    fixed = {i: 1 for i in range(t)}
-    if second is not None:
-        fixed[t] = 2
-        fixed[t + 1] = second
-    search = _CoverSearch(n, t, False, fixed, budget, relabel_symmetric=True)
+    prefix = (1,) * t if second is None else (1,) * t + (2, second)
+    search = _CoverSearch(n, t, False, prefix, budget, relabel_symmetric=True)
     reps: set[tuple[Letter, ...]] = set()
     exhausted = True
     try:

@@ -138,9 +138,11 @@ def admissible_subset(n: int, t: int) -> bool:
 
 
 # The longest word any front builds or searches over: about 2 GB at 100 bytes
-# a letter (gen --n 490 --t 3 peaks at 1 889 MB), 7 GB at the letter search's
-# 355.  It admits t=2 n <= 6324, t=3 n <= 492 and t=4 n <= 146; a search near
-# it still runs out of 1 GB, as generate_subset_ucycle(6323, 2) does.
+# a letter (gen --n 490 --t 3 peaks at 1 889 MB).  The letter search's set-up
+# takes about 106 bytes a letter (traced at t=2, n=1001 and 2001), so a search
+# at the limit needs about 2.1 GB.  It admits t=2 n <= 6324, t=3 n <= 492 and
+# t=4 n <= 146; a search near it still runs out of 1 GB, as
+# generate_subset_ucycle(6323, 2) does.
 MAX_LETTERS = 20_000_000
 
 

@@ -158,6 +158,32 @@ FIRST_SOLUTION_NODES = {
     ("multiset", 101, 2): 262699,
 }
 
+# suffix-pinned requests, which the letter search answers on the rotation
+# that starts with the suffix: _CoverSearch.nodes after the first solution and
+# the SHA-256 of the word's .ucy text (format_ucy(word, t)), keyed by (kind,
+# n, t, required prefix, required suffix).
+SUFFIX_FIRST_SOLUTIONS = {
+    ("subset", 7, 3, (), (4, 3)): (
+        12061, "648831a58602fa7fde58f2adc236782c6bf85513fa212ae034e09a06585a5806"
+    ),
+    ("subset", 7, 3, (2,), (4, 3)): (
+        12059, "10c6ce55b97e37fffd84f0c1bd9f509dca9ebd07f623459293db0d5d75b135e7"
+    ),
+    ("multiset", 4, 3, (1,), (4,)): (
+        101, "e6fa6bb203b6d6a414ad794deb8cfe88e954ba394462856332e6d972795b4dfe"
+    ),
+    ("multiset", 5, 2, (), (3, 1)): (
+        41, "1cb7196ce26a47f791996b0086414f3314c7a2c623c530330871766b255f5aa0"
+    ),
+    ("subset", 9, 2, (3,), (8, 1)): (
+        168, "a16b6257e0ddcfd211714a39d54b0b9e555057673a0ef88dc378758de30e328f"
+    ),
+}
+
+# suffix-pinned searches that run out of budget, like BUDGET_STOPS: (kind,
+# n, t, required suffix, budget).
+SUFFIX_BUDGET_STOPS = (("subset", 8, 3, (5, 1), 300_000),)
+
 # exit codes of in-process `gen --method M --n N --t T --budget 20000`, keyed
 # by (M, T); the i-th character is the code for n = i + 1, n = 1..20.
 GEN_EXIT_CODES = {

@@ -156,6 +156,18 @@ class TestUsageErrors:
         # a refused request leaves no file behind
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_sidecar_leaves_no_word(self, tmp_path):
+        # the word file is written first; a sidecar path that is a directory
+        # must take the word file back out with it
+        (tmp_path / "w.provenance").mkdir()
+        r = run_cli(
+            "gen", "--n", "10", "--t", "3", "--method", "inductive", "--out", "w.ucy", cwd=tmp_path
+        )
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["w.provenance"]
+
     def test_subset_input_over_another_alphabet(self, subset_file):
         # subset_file holds a word over [8]
         r = run_cli(

@@ -47,6 +47,8 @@ from goldens import (
     DISTINCT_CLASSES_4_3,
     EULER_SHA256,
     FIRST_SOLUTION_NODES,
+    SUFFIX_BUDGET_STOPS,
+    SUFFIX_FIRST_SOLUTIONS,
     UNSYMMETRIC_COUNT_NODES,
     WITNESS_SHA256,
 )
@@ -66,9 +68,7 @@ def unsymmetric_count(n, t):
     reps = set()
     nodes = 0
     for first in range(1, n + 1):
-        fixed = {i: 1 for i in range(t)}
-        fixed[t] = first
-        search = _CoverSearch(n, t, False, fixed, None, relabel_symmetric=False)
+        search = _CoverSearch(n, t, False, (1,) * t + (first,), None, relabel_symmetric=False)
         for letters in search.solutions():
             reps.add(canonicalize(CycleWord(n, letters)).representative.letters)
         nodes += search.nodes
@@ -515,22 +515,20 @@ class TestCounting:
 
 class TestRelabelSymmetryGuard:
     @pytest.mark.parametrize(
-        "fixed",
-        [{0: 1, 1: 3}, {0: 2}, {5: 1}, {4: 2, 5: 1}, {1: 1}],
-        ids=["out-of-order", "starts-above-1", "suffix", "suffix-pair", "not-prefix"],
+        "prefix", [(1, 3), (2,)], ids=["out-of-order", "starts-above-1"]
     )
-    def test_broken_order_switches_symmetry_off(self, fixed):
-        on = _CoverSearch(3, 2, False, fixed, None, relabel_symmetric=True)
-        off = _CoverSearch(3, 2, False, fixed, None, relabel_symmetric=False)
+    def test_broken_order_switches_symmetry_off(self, prefix):
+        on = _CoverSearch(3, 2, False, prefix, None, relabel_symmetric=True)
+        off = _CoverSearch(3, 2, False, prefix, None, relabel_symmetric=False)
         assert not on.relabel_symmetric
         assert set(on.solutions()) == set(off.solutions())
 
     @pytest.mark.parametrize("second", [1, 2, 3])
     def test_ordered_prefix_keeps_first_occurrence_words(self, second):
         # the pins of a counting branch: the run of ones, 2, then 1, 2 or 3
-        fixed = {0: 1, 1: 1, 2: 1, 3: 2, 4: second}
-        on = _CoverSearch(4, 3, False, fixed, None, relabel_symmetric=True)
-        off = _CoverSearch(4, 3, False, fixed, None, relabel_symmetric=False)
+        prefix = (1, 1, 1, 2, second)
+        on = _CoverSearch(4, 3, False, prefix, None, relabel_symmetric=True)
+        off = _CoverSearch(4, 3, False, prefix, None, relabel_symmetric=False)
         assert on.relabel_symmetric
         everything = set(off.solutions())
         kept = set(on.solutions())
@@ -567,6 +565,33 @@ class TestNodePins:
         generate(n, t)
         assert [search.nodes for search in made] == [FIRST_SOLUTION_NODES[kind, n, t]]
 
+    @pytest.mark.parametrize("kind, n, t, prefix, suffix", sorted(SUFFIX_FIRST_SOLUTIONS))
+    def test_suffix_pinned_first_solution(self, monkeypatch, kind, n, t, prefix, suffix):
+        made = []
+
+        class RecordingSearch(_CoverSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("ucycles.searchgen._CoverSearch", RecordingSearch)
+        generate = generate_subset_ucycle if kind == "subset" else find_multiset_ucycle
+        c = SearchConstraints(required_prefix=prefix, required_suffix=suffix)
+        word = generate(n, t, c)
+        nodes, digest = SUFFIX_FIRST_SOLUTIONS[kind, n, t, prefix, suffix]
+        assert word.letters[: len(prefix)] == prefix
+        assert word.letters[len(word) - len(suffix) :] == suffix
+        assert ucy_sha256(format_ucy(word, t)) == digest
+        assert [search.nodes for search in made] == [nodes]
+
+    @pytest.mark.parametrize("kind, n, t, suffix, budget", SUFFIX_BUDGET_STOPS)
+    def test_suffix_budget_stops_one_node_past(self, kind, n, t, suffix, budget):
+        generate = generate_subset_ucycle if kind == "subset" else find_multiset_ucycle
+        c = SearchConstraints(required_suffix=suffix, node_budget=budget)
+        with pytest.raises(SearchBudgetExceeded, match=f"^node budget {budget} exhausted$") as info:
+            generate(n, t, c)
+        assert info.value.nodes == budget + 1
+
     @pytest.mark.parametrize("n, t, budget", sorted(BUDGETED_COUNT_AS_TEXT))
     def test_budgeted_count_as_text(self, n, t, budget):
         # a branch reads its search's nodes after the budget error
@@ -574,12 +599,12 @@ class TestNodePins:
 
     def test_no_word_when_n_does_not_divide_the_family(self):
         # 4 does not divide C(5, 2) = 10: no letter count fits, no node is spent
-        search = _CoverSearch(4, 2, False, {}, None)
+        search = _CoverSearch(4, 2, False, (), None)
         assert list(search.solutions()) == []
         assert search.nodes == 0
 
     def test_nodes_kept_when_the_generator_is_closed(self):
-        search = _CoverSearch(3, 2, False, {0: 1, 1: 1}, None)
+        search = _CoverSearch(3, 2, False, (1, 1), None)
         words = search.solutions()
         next(words)
         first = search.nodes
@@ -589,11 +614,13 @@ class TestNodePins:
 
 def test_search_set_up_holds_each_position_once():
     # in a fresh interpreter, so that nothing built before is counted: the
-    # set-up before the first node at n=201, t=2 (the family's codes, a window
-    # tuple and a trigger list per position, the word and its free positions,
-    # all on one int per position) stays below 450 bytes a letter.  It read
-    # 592 with a set of the free positions, fresh ints in every window tuple
-    # and an empty list per depth, and 480 with the set alone.
+    # set-up before the first node at n=201, t=2 (the family's codes, then a
+    # few flat lists with one entry per position: the word, its primes, and
+    # per depth the next letter, the codes it added and the largest letter
+    # so far) stays below 250 bytes a letter (177 on CPython 3.11).  It read
+    # 377 with a window tuple and a trigger list per position, 592 with a set
+    # of the free positions, fresh ints in every window tuple and an empty
+    # list per depth, and 480 with the set alone.
     child = (
         "import math, tracemalloc\n"
         "from ucycles.searchgen import SearchBudgetExceeded, SearchConstraints, find_multiset_ucycle\n"
@@ -607,7 +634,7 @@ def test_search_set_up_holds_each_position_once():
     assert done.returncode == 0, done.stderr
     nodes, per_letter = done.stdout.split()
     assert int(nodes) == 2
-    assert float(per_letter) < 450
+    assert float(per_letter) < 250
 
 
 class TestWindowCodes:
