@@ -88,12 +88,15 @@ class _CoverSearch:
     (none while p < t-1), the last one also the t-1 windows that wrap, and
     the set-up the windows inside the prefix.
 
-    The family and the windows already used are sets of integer codes, the
-    verifier's: letter x stands for the x-th prime (``verify._letter_primes``)
-    and a window's code is the product of its letters' primes (read from a
+    The windows already used are a set of integer codes, the verifier's:
+    letter x stands for the x-th prime (``verify._letter_primes``) and a
+    window's code is the product of its letters' primes (read from a
     per-position list kept next to the word), one-to-one on t-multisets by
-    unique factorization.  A window that repeats a letter has no code among
-    the subsets and is refused like any other window off the family.
+    unique factorization.  Every window of a word over [n] is a t-multiset
+    of [n], so only a window of a subset search can leave its family, by
+    repeating a letter: that search alone keeps its family's codes, and
+    refuses a window without a code among them.  A multiset search holds no
+    family codes and refuses only a window already used.
     """
 
     def __init__(
@@ -122,7 +125,7 @@ class _CoverSearch:
         self.nodes = 0
 
     def solutions(self) -> Iterator[tuple[Letter, ...]]:
-        n, t, k, prefix = self.n, self.t, self.k, self.prefix
+        n, t, k, prefix, distinct = self.n, self.t, self.k, self.prefix, self.distinct
         a = len(prefix)
         m = k - a  # free positions a..k-1
 
@@ -145,7 +148,9 @@ class _CoverSearch:
         word = list(prefix) + [0] * m
         pr = [prime[v] for v in word]
         pr += pr[: t - 1]
-        target = {prod(map(prime.__getitem__, key)) for key in _family(n, t, self.distinct)}
+        # only a subset window can leave its family, by repeating a letter
+        if distinct:
+            target = {prod(map(prime.__getitem__, key)) for key in _family(n, t, True)}
 
         # the window starting at j covers pr[j : j+t]; those inside the
         # prefix are checked up front, the wrapping ones too when the prefix
@@ -153,7 +158,7 @@ class _CoverSearch:
         used: set[int] = set()
         for j in range(a - t + 1 if m else k):
             code = prod(pr[j : j + t])
-            if code not in target or code in used:
+            if code in used or distinct and code not in target:
                 return
             used.add(code)
 
@@ -201,7 +206,7 @@ class _CoverSearch:
                         codes_new: list[int] = []
                         for j in starts:
                             code = prod(pr[j : j + t])
-                            if code in used or code not in target:
+                            if code in used or distinct and code not in target:
                                 break
                             used.add(code)
                             codes_new.append(code)

@@ -139,9 +139,11 @@ def admissible_subset(n: int, t: int) -> bool:
 
 # The longest word any front builds or searches over: about 2 GB at 100 bytes
 # a letter (gen --n 490 --t 3 peaks at 1 889 MB).  The letter search's set-up
-# takes about 106 bytes a letter (traced at t=2, n=1001 and 2001), so a search
-# at the limit needs about 2.1 GB.  It admits t=2 n <= 6324, t=3 n <= 492 and
-# t=4 n <= 146; a search near it still runs out of 1 GB, as
+# (traced at t=2, n=1001 and 2001) takes about 106 bytes a letter for subsets,
+# which keep their family's codes, and about 40 for multisets, which keep only
+# per-position lists, so a search at the limit needs about 2.1 GB for subsets
+# and 0.8 GB for multisets.  It admits t=2 n <= 6324, t=3 n <= 492 and
+# t=4 n <= 146; a subset search near it still runs out of 1 GB, as
 # generate_subset_ucycle(6323, 2) does.
 MAX_LETTERS = 20_000_000
 

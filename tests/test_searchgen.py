@@ -448,8 +448,9 @@ class TestCounting:
         assert 5 * nodes <= UNSYMMETRIC_COUNT_NODES[n, t]
 
     def test_small_budget_stays_cheap(self, monkeypatch):
-        # the per-branch set-up walks the whole target, so a tiny budget
-        # must not be paid for once per letter of a large alphabet
+        # each branch's set-up fills per-position lists as long as the word,
+        # so a tiny budget must not be paid for once per letter of a large
+        # alphabet
         made = []
 
         class CountingSearch(_CoverSearch):
@@ -614,13 +615,12 @@ class TestNodePins:
 
 def test_search_set_up_holds_each_position_once():
     # in a fresh interpreter, so that nothing built before is counted: the
-    # set-up before the first node at n=201, t=2 (the family's codes, then a
+    # set-up of a multiset search before the first node at n=201, t=2 holds
+    # no family codes, since no multiset window can leave its family, only a
     # few flat lists with one entry per position: the word, its primes, and
-    # per depth the next letter, the codes it added and the largest letter
-    # so far) stays below 250 bytes a letter (177 on CPython 3.11).  It read
-    # 377 with a window tuple and a trigger list per position, 592 with a set
-    # of the free positions, fresh ints in every window tuple and an empty
-    # list per depth, and 480 with the set alone.
+    # per depth the next letter, the codes it added and the largest letter so
+    # far.  It stays below 80 bytes a letter (41.1 on CPython 3.11; 177 with
+    # the family's codes).
     child = (
         "import math, tracemalloc\n"
         "from ucycles.searchgen import SearchBudgetExceeded, SearchConstraints, find_multiset_ucycle\n"
@@ -634,7 +634,38 @@ def test_search_set_up_holds_each_position_once():
     assert done.returncode == 0, done.stderr
     nodes, per_letter = done.stdout.split()
     assert int(nodes) == 2
-    assert float(per_letter) < 250
+    assert float(per_letter) < 80
+
+
+class TestKindRule:
+    """Only a subset window can leave its family, by repeating a letter: a
+    multiset search holds no family codes."""
+
+    def test_subset_search_refuses_a_repeated_letter(self):
+        assert list(_CoverSearch(5, 2, True, (1, 1), None).solutions()) == []
+        assert list(_CoverSearch(5, 2, False, (1, 1), None).solutions())
+
+    def test_subset_words_never_repeat_a_letter_side_by_side(self):
+        words = list(_CoverSearch(5, 2, True, (1, 2), None).solutions())
+        assert words
+        for w in words:
+            assert all(w[i] != w[i - 1] for i in range(len(w)))
+
+    def test_multiset_searches_build_no_family(self, monkeypatch):
+        calls = []
+        family = ucycles.searchgen._family
+
+        def spy(n, t, distinct):
+            calls.append((n, t, distinct))
+            return family(n, t, distinct)
+
+        monkeypatch.setattr("ucycles.searchgen._family", spy)
+        find_multiset_ucycle(7, 2)
+        find_multiset_ucycle(5, 2, SearchConstraints(required_suffix=(2, 2)))
+        count_distinct(4, 3)
+        assert calls == []
+        generate_subset_ucycle(7, 2)
+        assert calls == [(7, 2, True)]
 
 
 class TestWindowCodes:
