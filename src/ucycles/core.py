@@ -28,8 +28,8 @@ made from its letters is checked.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 Letter = int
 MultisetKey = tuple[Letter, ...]

@@ -18,9 +18,9 @@ no pick works (only on the tiniest alphabets), the general witness search
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Sequence
 
 from .core import Letter
 

@@ -32,15 +32,15 @@ from __future__ import annotations
 import marshal
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
 
 from .core import CycleWord, Letter, canonicalize
 from .euler import _euler_block3
 from .verify import (
     InadmissibleError,
     _emitted,
-    _family,
     _family_size,
     _letter_primes,
     _require_admissible,
@@ -75,7 +75,7 @@ class SearchConstraints:
 
 
 class _CoverSearch:
-    """DFS over words whose cyclic t-windows cover ``verify._family(n, t, distinct)``.
+    """DFS over words whose cyclic t-windows cover the t-subsets or t-multisets of [n].
 
     Every letter occurs (family size)/n times, so when n does not divide
     the family size there is no word.
@@ -94,9 +94,10 @@ class _CoverSearch:
     per-position list kept next to the word), one-to-one on t-multisets by
     unique factorization.  Every window of a word over [n] is a t-multiset
     of [n], so only a window of a subset search can leave its family, by
-    repeating a letter: that search alone keeps its family's codes, and
-    refuses a window without a code among them.  A multiset search holds no
-    family codes and refuses only a window already used.
+    repeating a letter: that search alone keeps its family's codes, the
+    products of t distinct primes taken from the prime table, and refuses a
+    window without a code among them.  A multiset search holds no family
+    codes and refuses only a window already used.
     """
 
     def __init__(
@@ -150,7 +151,7 @@ class _CoverSearch:
         pr += pr[: t - 1]
         # only a subset window can leave its family, by repeating a letter
         if distinct:
-            target = {prod(map(prime.__getitem__, key)) for key in _family(n, t, True)}
+            target = set(map(prod, combinations(prime[1:], t)))
 
         # the window starting at j covers pr[j : j+t]; those inside the
         # prefix are checked up front, the wrapping ones too when the prefix

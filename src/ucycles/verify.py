@@ -36,20 +36,21 @@ Whether a word passes is decided in four steps, cheapest first:
 
 The first three steps read no window, and the evidence is deferred until it
 is read (see :class:`VerificationReport`).  The evidence keeps the sorted
-tuples of :func:`ucycles.core.cyclic_windows`.  One family definition,
-``_family`` and ``_family_size``, serves both verifiers, the admissibility
-predicates and the witness search.
+tuples of :func:`ucycles.core.cyclic_windows`.  One family size,
+``_family_size``, serves both verifiers, the admissibility predicates and
+the witness search, which also reads the prime table; ``_family`` walks the
+family's keys only for a failing report's ``missing``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, filterfalse, islice
 from operator import eq, itemgetter, mul
-from typing import Iterator
 
 from .core import CycleWord, MultisetKey, cyclic_windows
 
@@ -60,7 +61,8 @@ class InadmissibleError(ValueError):
 
 def _family(n: int, t: int, distinct: bool) -> Iterator[MultisetKey]:
     """The t-subsets (``distinct``) or t-multisets of [n] as sorted keys, in
-    ``itertools.combinations`` order but with no pool of n letters built."""
+    ``itertools.combinations`` order but with no pool of n letters built, so
+    a failing report can list its first ``missing`` keys on a huge alphabet."""
     step = int(distinct)  # a key's letters rise by at least this much
     key = [1 + i * step for i in range(t)]
     while True:

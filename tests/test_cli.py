@@ -189,10 +189,11 @@ class TestUsageErrors:
         assert r.stderr == "error: subset input must carry t=3\n"
 
 
-def run_fresh(code):
-    """Run ``code`` in a fresh interpreter that imports the package from the source tree."""
+def run_fresh(code, *flags):
+    """Run ``code`` in a fresh interpreter, started with ``flags``, that
+    imports the package from the source tree."""
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         timeout=240,
@@ -201,7 +202,8 @@ def run_fresh(code):
 
 
 class TestColdStart:
-    """No process pool is loaded, not even by a count that asks for workers."""
+    """No process pool is loaded, not even by a count that asks for workers,
+    and no module of the package loads ``typing``."""
 
     def test_importing_the_cli_loads_no_pool(self):
         r = run_fresh(
@@ -211,6 +213,15 @@ class TestColdStart:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
+
+    def test_importing_the_cli_loads_no_typing(self):
+        # -S keeps site's hooks, which may import typing themselves, out
+        r = run_fresh(
+            "import sys, ucycles.cli; ucycles.cli.build_parser(); "
+            "assert 'typing' not in sys.modules",
+            "-S",
+        )
+        assert r.returncode == 0, r.stderr
 
     def test_the_root_loads_the_library_and_exports_no_names(self):
         # perfbench imports the package before its first timed operation, so

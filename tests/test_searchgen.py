@@ -639,7 +639,9 @@ def test_search_set_up_holds_each_position_once():
 
 class TestKindRule:
     """Only a subset window can leave its family, by repeating a letter: a
-    multiset search holds no family codes."""
+    multiset search holds no family codes, and a subset search takes its
+    codes, the products of t distinct primes, from the prime table rather
+    than by walking ``verify._family``."""
 
     def test_subset_search_refuses_a_repeated_letter(self):
         assert list(_CoverSearch(5, 2, True, (1, 1), None).solutions()) == []
@@ -651,21 +653,21 @@ class TestKindRule:
         for w in words:
             assert all(w[i] != w[i - 1] for i in range(len(w)))
 
-    def test_multiset_searches_build_no_family(self, monkeypatch):
+    def test_searches_walk_no_family(self, monkeypatch):
+        assert not hasattr(ucycles.searchgen, "_family")
         calls = []
-        family = ucycles.searchgen._family
+        family = ucycles.verify._family
 
         def spy(n, t, distinct):
             calls.append((n, t, distinct))
             return family(n, t, distinct)
 
-        monkeypatch.setattr("ucycles.searchgen._family", spy)
+        monkeypatch.setattr("ucycles.verify._family", spy)
         find_multiset_ucycle(7, 2)
         find_multiset_ucycle(5, 2, SearchConstraints(required_suffix=(2, 2)))
         count_distinct(4, 3)
-        assert calls == []
         generate_subset_ucycle(7, 2)
-        assert calls == [(7, 2, True)]
+        assert calls == []
 
 
 class TestWindowCodes:
