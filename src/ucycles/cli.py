@@ -85,7 +85,9 @@ def _pick_budget(flag_value: int | None, default: int) -> int:
 def _auto_method(n: int, t: int) -> str:
     """The construction whose preconditions (n, t) meets, else the search; an
     n or t below 1 raises ``ValueError`` here, before the choice is printed."""
-    if admissible_multiset(n, t) and t == 3:  # so n is prime to 3
+    if n < 1 or t < 1:
+        raise ValueError("n and t must be positive")
+    if t == 3 and admissible_multiset(n, t):  # so n is prime to 3
         if n % 3 == 1 and n >= 4:
             return "inductive"
         if n % 2 == 0 and n >= 8:

@@ -10,20 +10,17 @@ windows enumerate the family exactly once; this module supplies the raw
 material for building and comparing such words, while :mod:`ucycles.verify`
 holds the actual coverage checks.
 
-Letters are checked once, where they enter: the public constructor checks
-that ``alphabet_size`` is an int of at least 1 and that every letter is an
-int in ``1..alphabet_size``.  It is written by hand
-rather than generated, so a word is built in one call: the checks, then both
-fields straight into the instance dict.  Words the library derives from a
-word it already holds (a rotation, a reflection, a canonical representative,
-a pair-doubled word)
-and the words of the ``.ucy`` reader's name table and of the counting
-search, whose letters lie in range by construction, come from the private
-``CycleWord._trusted``, which checks nothing.  A word built by a
-construction route is still checked, since the verifier codes its letters
-on the assumption that they lie in range; the subset word that pair
-doubling builds on is not, since it is never returned and the doubled word
-made from its letters is checked.
+Each word is checked once.  Outside input goes through the public
+constructor, which checks, letter by letter, that ``alphabet_size`` is an
+int of at least 1 and that every letter is an int in ``1..alphabet_size``.
+It is written by hand rather than generated, so a word is built in one
+call: the checks, then both fields straight into the instance dict.  A word
+a construction route or the search builds is checked by ``verify._emitted``,
+which tests its letters' range, verifies it and makes it with the private
+``CycleWord._trusted``, which checks nothing.  So are the words the library
+derives from a word it holds (a reflection, a canonical representative,
+pair doubling's words) and the words of the ``.ucy`` reader's name table
+and of the counting search: their letters lie in range by construction.
 """
 
 from __future__ import annotations
@@ -54,18 +51,9 @@ class CycleWord:
         if len(ls) < 1:
             raise ValueError("word must contain at least one letter")
         n = alphabet_size
-        # a long all-int word is checked by passes in C; the loop names the
-        # offending letter, accepts bools and other int subclasses, and is
-        # the quicker check below about a hundred letters
-        if not (
-            len(ls) > 128
-            and set(map(type, ls)) == {int}
-            and min(distinct := set(ls)) >= 1
-            and max(distinct) <= n
-        ):
-            for x in ls:
-                if not (isinstance(x, int) and 1 <= x <= n):
-                    raise ValueError(f"letter {x!r} out of range 1..{n}")
+        for x in ls:
+            if not (isinstance(x, int) and 1 <= x <= n):
+                raise ValueError(f"letter {x!r} out of range 1..{n}")
         # straight into the instance dict, as the frozen __setattr__ forbids
         fields = self.__dict__
         fields["alphabet_size"] = alphabet_size
@@ -81,11 +69,6 @@ class CycleWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def rotate(self, offset: int) -> "CycleWord":
-        """Cyclic rotation moving position ``offset`` to the front."""
-        off = offset % len(self.letters)
-        return CycleWord._trusted(self.alphabet_size, self.letters[off:] + self.letters[:off])
 
     def reflected(self) -> "CycleWord":
         return CycleWord._trusted(self.alphabet_size, self.letters[::-1])

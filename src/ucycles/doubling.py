@@ -162,7 +162,7 @@ def append_triples(doubled: CycleWord, perm: AnchorPermutation) -> CycleWord:
     it through ``verify._emitted``: a result that is no 3-multiset ucycle
     raises ``AssertionError``."""
     triples = (x for x in perm.order for _ in range(3))
-    return _emitted(CycleWord(doubled.alphabet_size, (*doubled.letters, *triples)), 3, False)
+    return _emitted(doubled.alphabet_size, (*doubled.letters, *triples), 3, False)
 
 
 def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWord:
@@ -189,8 +189,8 @@ def construct_doubling(n: int, subset_cycle: CycleWord | None = None) -> CycleWo
         letters = _euler_block3(n, True)
         if letters is None:
             raise AssertionError(f"no Euler block for 3-subsets of [{n}]")
-        # in range by construction; the result's checked constructor and its
-        # verification cover these letters
+        # in range by construction; verify._emitted checks the result's
+        # letters and windows, these among them
         subset_cycle = CycleWord._trusted(n, letters)
     elif subset_cycle.alphabet_size != n:
         raise ValueError(

@@ -23,8 +23,8 @@ inside the segments.  Two connectors are frozen, one per parity of the
 counter range: when its length is odd the filler's block boundaries land on
 different window classes, and the second connector (the one a slot search
 once found at every odd step, recorded as ``path=repaired``) closes the
-books instead.  The construction searches nothing; one ``CycleWord`` is
-built from the finished list and verified once before it is returned.
+books instead.  The construction searches nothing; the finished list is
+verified once, by ``verify._emitted``, which makes it the returned word.
 """
 
 from __future__ import annotations
@@ -142,9 +142,8 @@ def construct_inductive(n: int) -> CycleWord:
             letters.extend(extension)
             extension = _next_extension(extension, m)
         letters.extend(extension)
-    word = CycleWord(n, letters)
-    del letters  # so the verifier reads the word's only copy
-    return _emitted(word, 3, False)
+    letters = tuple(letters)  # rebound, so the verifier reads the only copy
+    return _emitted(n, letters, 3, False)
 
 
 def provenance_report(n: int) -> str:

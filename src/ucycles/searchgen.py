@@ -293,7 +293,7 @@ def _find_ucycle(
         # the search ran on the rotation that starts with the suffix
         b = len(c.required_suffix)
         letters = letters[b:] + letters[:b]
-    return _emitted(CycleWord(n, letters), t, distinct)
+    return _emitted(n, letters, t, distinct)
 
 
 def generate_subset_ucycle(

@@ -32,7 +32,7 @@ Whether a word passes is decided in four steps, cheapest first:
    the windows that wrap, then t-1 chained products with that tuple read
    from offsets 1..t-1, all in C and into one list (``_distinct_windows``);
    no rotated copy of the word is made.  The lookup relies on every letter
-   lying in 1..n, which a :class:`CycleWord` guarantees.
+   lying in 1..n, which the :class:`CycleWord` constructor and ``_emitted`` check.
 
 The first three steps read no window, and the evidence is deferred until it
 is read (see :class:`VerificationReport`).  The evidence keeps the sorted
@@ -152,7 +152,15 @@ MAX_LETTERS = 20_000_000
 
 def _require_admissible(n: int, t: int, distinct: bool) -> int:
     """The family size when n divides it (else ``InadmissibleError``) and it is
-    at most ``MAX_LETTERS`` (else ``ValueError``): every front is refused here."""
+    at most ``MAX_LETTERS`` (else ``ValueError``): every front is refused here.
+    A family C(N, t) with min(t, N - t) >= 14 has at least C(28, 14) members,
+    so it is refused before its binomial, or its divisibility, is computed."""
+    top = n if distinct else n + t - 1
+    if min(t, top - t) >= 14:
+        raise ValueError(
+            f"n={n} t={t} asks for a word of at least {math.comb(28, 14)} letters; "
+            f"the limit is {MAX_LETTERS}"
+        )
     if not (admissible_subset if distinct else admissible_multiset)(n, t):
         raise InadmissibleError(f"{n} does not divide C({n if distinct else n + t - 1},{t})")
     k = _family_size(n, t, distinct)
@@ -352,13 +360,17 @@ def verify_subset_ucycle(word: CycleWord, t: int) -> VerificationReport:
     return _verify(word, t, True)
 
 
-def _emitted(word: CycleWord, t: int, distinct: bool) -> CycleWord:
-    """``word``, built by a construction or the search, once it verifies on
-    its family; one that fails is the library's bug, an ``AssertionError``.
+def _emitted(n: int, letters: tuple[int, ...], t: int, distinct: bool) -> CycleWord:
+    """The word a construction or the search built from ``letters``, a
+    non-empty tuple over [n], once they lie in 1..n and verify on their
+    family; else it is the library's bug, an ``AssertionError``.
 
     The verifier is this module's global, looked up at call time, so a
     wrapper installed on ``ucycles.verify`` sees every route's check.
     """
+    if not (min(letters) >= 1 and max(letters) <= n):
+        raise AssertionError(f"emitted letter out of range 1..{n}")
+    word = CycleWord._trusted(n, letters)
     if not (verify_subset_ucycle if distinct else verify_multiset_ucycle)(word, t).ok:
         raise AssertionError("emitted word failed verification")
     return word

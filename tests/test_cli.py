@@ -477,6 +477,42 @@ class TestFailureLines:
             1, "", "internal error: emitted word failed verification\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "gen --n 100 --t 3",  # inductive
+            "gen --n 22 --t 3 --method doubling",
+            "gen --n 14 --t 3 --method search",  # the Euler block
+            "gen --n 17 --t 3",  # the Euler block
+            "gen --n 4 --t 3 --method search",  # the witness search
+        ],
+    )
+    def test_no_route_calls_the_checked_constructor(self, monkeypatch, argv):
+        # verify._emitted checks a built word's letters; CycleWord's own
+        # check is for outside input only
+        calls = []
+        monkeypatch.setattr(CycleWord, "__init__", lambda *args: calls.append(args))
+        assert _captured_in_process(argv.split())[0] == 0
+        assert calls == []
+        assert generate_subset_ucycle(7, 3).alphabet_size == 7  # the subset search
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "module, name, value, argv",
+        [
+            # the connector of the step to [10] reaches letter 11
+            (ucycles.inductive, "_CONNECTOR_PATTERN", (7,) * 29, "--n 10 --method inductive"),
+            (ucycles.searchgen, "_euler_block3", lambda n, distinct: (1, 0, 2), "--n 17 --method search"),
+        ],
+    )
+    def test_a_built_letter_out_of_range_is_an_internal_error(self, monkeypatch, module, name, value, argv):
+        # the library's bug, not a usage error: verify._emitted refuses it
+        monkeypatch.setattr(module, name, value)
+        n = argv.split()[1]
+        assert _captured_in_process(["gen", "--t", "3", *argv.split()]) == (
+            1, "", f"internal error: emitted letter out of range 1..{n}\n"
+        )
+
     def test_an_exception_of_another_family_is_not_caught(self, monkeypatch):
         class Unforeseen(Exception):
             pass

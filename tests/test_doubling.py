@@ -236,7 +236,7 @@ class TestDoublePairs:
     def test_matches_splicing_on_every_rotation(self, subset_sweep, n):
         word = CycleWord(8, SUBSET3_WORD_8) if n == 8 else subset_sweep.value[n]
         for offset in range(len(word)):
-            rotated = word.rotate(offset)
+            rotated = CycleWord(word.alphabet_size, word.letters[offset:] + word.letters[:offset])
             idx = pair_index(rotated)
             perm = choose_permutation(rotated, idx)
             assert double_pairs(rotated, perm, idx).letters == _doubled_by_splicing(
@@ -283,17 +283,24 @@ class TestConstructDoubling:
         assert hashlib.sha256(payload).hexdigest() == DOUBLING_SHA256[n]
 
     def test_final_word_is_built_once(self, x8, monkeypatch):
-        # the supplied word is already a CycleWord; only the result is built
-        built = []
-        init = CycleWord.__init__
+        # the supplied word is already a CycleWord; the result is built once,
+        # unchecked, by verify._emitted, and the checked constructor not at all
+        checked, trusted = [], []
+        init, make = CycleWord.__init__, CycleWord._trusted.__func__
 
-        def counted(word, alphabet_size, letters):
+        def counted_init(word, alphabet_size, letters):
             init(word, alphabet_size, letters)
-            built.append(len(word.letters))
+            checked.append(len(word.letters))
 
-        monkeypatch.setattr(CycleWord, "__init__", counted)
+        def counted_trusted(cls, alphabet_size, letters):
+            trusted.append(len(letters))
+            return make(cls, alphabet_size, letters)
+
+        monkeypatch.setattr(CycleWord, "__init__", counted_init)
+        monkeypatch.setattr(CycleWord, "_trusted", classmethod(counted_trusted))
         assert construct_doubling(8, x8).letters == MULTISET3_WORD_8
-        assert built == [len(MULTISET3_WORD_8)]
+        assert checked == []
+        assert trusted.count(len(MULTISET3_WORD_8)) == 1
 
     @staticmethod
     def _count_verifications(monkeypatch):

@@ -22,6 +22,7 @@ from ucycles.verify import (
     _distinct_windows,
     _family,
     _family_size,
+    _require_admissible,
     admissible_multiset,
     admissible_subset,
     verify_multiset_ucycle,
@@ -268,9 +269,15 @@ class TestAdmissibility:
             admissible_subset(2, 3)  # needs n >= t
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# how the gate words a family it refuses before computing C(N, t)
+WIDE_REFUSAL = "asks for a word of at least 40116600 letters; the limit is 20000000"
+
+
 class TestSizeLimit:
     """Every library front refuses a word longer than ``MAX_LETTERS``, 2·10⁷
-    letters, in the admissibility gate, before it allocates anything for it."""
+    letters, in the admissibility gate, before it allocates anything for it,
+    and a family C(N, t) with min(t, N - t) >= 14 before it computes C(N, t)."""
 
     @pytest.mark.parametrize(
         "module, call, n, t, distinct",
@@ -285,6 +292,49 @@ class TestSizeLimit:
     def test_oversized_request_is_refused_in_a_small_address_space(self, module, call, n, t, distinct):
         # in a child limited to 1 GiB of address space, where building or
         # searching over the word would end in MemoryError
+        done = self._refused_in_child(module, call)
+        k = math.comb(n, t) if distinct else math.comb(n + t - 1, t)
+        assert k > 20_000_000
+        assert done.stdout == f"n={n} t={t} asks for a word of {k} letters; the limit is 20000000\n"
+
+    @pytest.mark.parametrize(
+        "module, call, n, t",
+        [
+            ("searchgen", "find_multiset_ucycle(10**9, 10**9)", 10**9, 10**9),
+            ("searchgen", "generate_subset_ucycle(2 * 10**9, 10**9)", 2 * 10**9, 10**9),
+            ("searchgen", "count_distinct(10**9, 10**9)", 10**9, 10**9),
+        ],
+    )
+    def test_wide_request_is_refused_before_its_binomial(self, module, call, n, t):
+        # C(N, t) with min(t, N - t) >= 14 is over the limit; computing it
+        # exactly at these sizes would not end within the timeout
+        done = self._refused_in_child(module, call, timeout=20)
+        assert done.stdout == f"n={n} t={t} {WIDE_REFUSAL}\n"
+
+    @pytest.mark.parametrize("command", ["gen", "count"])
+    def test_wide_request_exits_2_from_the_cli(self, command):
+        done = subprocess.run(
+            [sys.executable, "-m", "ucycles", command, "--n", "1000000000", "--t", "1000000000"],
+            capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: n=1000000000 t=1000000000 {WIDE_REFUSAL}"]
+        assert done.stderr.endswith(errors[0] + "\n")
+        assert "Traceback" not in done.stderr
+
+    def test_the_wide_refusal_starts_at_min_k_14(self):
+        # C(26, 13) = 10 400 600 fits, and 14 divides it; C(28, 14) does not fit
+        assert _require_admissible(14, 13, False) == math.comb(26, 13)
+        with pytest.raises(ValueError, match=f"^n=15 t=14 {WIDE_REFUSAL}$"):
+            _require_admissible(15, 14, False)
+        with pytest.raises(ValueError, match=f"^n=28 t=14 {WIDE_REFUSAL}$"):
+            _require_admissible(28, 14, True)
+
+    @staticmethod
+    def _refused_in_child(module, call, timeout=60):
+        """The finished child that ran ``call`` from ``ucycles.<module>`` under
+        1 GiB of address space and printed the ``ValueError`` it raised."""
         child = textwrap.dedent(
             f"""
             import resource
@@ -296,15 +346,12 @@ class TestSizeLimit:
                 print(exc)
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run(
-            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=timeout,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert (done.returncode, done.stderr) == (0, "")
-        k = math.comb(n, t) if distinct else math.comb(n + t - 1, t)
-        assert k > 20_000_000
-        assert done.stdout == f"n={n} t={t} asks for a word of {k} letters; the limit is 20000000\n"
+        return done
 
 
 class TestFamily:
@@ -659,7 +706,7 @@ class TestReportText:
 def test_ok_invariant_under_rotation_and_relabeling(off, rnd):
     perm = list(range(1, 5))
     rnd.shuffle(perm)
-    w = CycleWord(4, tuple(perm[x - 1] for x in CycleWord(4, BASE_WORD_4).rotate(off).letters))
+    w = CycleWord(4, tuple(perm[x - 1] for x in BASE_WORD_4[off:] + BASE_WORD_4[:off]))
     report = verify_multiset_ucycle(w, 3)
     assert report.ok
     assert sorted(report.frequency_table.values()) == [5, 5, 5, 5]
