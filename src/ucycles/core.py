@@ -70,9 +70,6 @@ class CycleWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def reflected(self) -> "CycleWord":
-        return CycleWord._trusted(self.alphabet_size, self.letters[::-1])
-
 
 def cyclic_windows(word: CycleWord, t: int) -> list[MultisetKey]:
     """All length-t windows read cyclically: one per starting position."""

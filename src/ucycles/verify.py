@@ -40,6 +40,13 @@ tuples of :func:`ucycles.core.cyclic_windows`.  One family size,
 ``_family_size``, serves both verifiers, the admissibility predicates and
 the witness search, which also reads the prime table; ``_family`` walks the
 family's keys only for a failing report's ``missing``.
+
+One size bound, ``_wide``, serves the gate and the verifiers: a family
+C(N, t) with min(t, N - t) >= 14 has at least C(28, 14) = 40 116 600
+members.  The gate, ``_require_admissible``, refuses such a family before
+computing its binomial, and a verifier fails a shorter word on it at the
+length step, its report showing that bound until ``expected_length`` is
+read.  Every other family is sized exactly, once.
 """
 
 from __future__ import annotations
@@ -123,20 +130,24 @@ def _distinct_windows(letters: tuple[int, ...], n: int, t: int) -> int:
     return len(dict.fromkeys(windows))
 
 
-def admissible_multiset(n: int, t: int) -> bool:
-    """True when n divides C(n+t-1, t), the number of t-multisets of [n]."""
+def _checked_size(n: int, t: int, distinct: bool) -> int:
+    """The family size, once n and t pass the refusals the predicates and the
+    gate share: n or t below 1, then n below t for subsets."""
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
-    return _family_size(n, t, False) % n == 0
+    if distinct and n < t:
+        raise ValueError("subsets need n >= t")
+    return _family_size(n, t, distinct)
+
+
+def admissible_multiset(n: int, t: int) -> bool:
+    """True when n divides C(n+t-1, t), the number of t-multisets of [n]."""
+    return _checked_size(n, t, False) % n == 0
 
 
 def admissible_subset(n: int, t: int) -> bool:
     """True when n divides C(n, t), the number of t-subsets of [n]."""
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
-    if n < t:
-        raise ValueError("subsets need n >= t")
-    return _family_size(n, t, True) % n == 0
+    return _checked_size(n, t, True) % n == 0
 
 
 # The longest word any front builds or searches over: about 2 GB at 100 bytes
@@ -150,20 +161,30 @@ def admissible_subset(n: int, t: int) -> bool:
 MAX_LETTERS = 20_000_000
 
 
+# Every C(N, t) with min(t, N - t) >= 14 is at least C(28, 14), above
+# MAX_LETTERS: the one size bound, by which the gate refuses such a family
+# and a verifier fails a shorter word on it, with no binomial computed.
+_WIDE_FLOOR = math.comb(28, 14)
+
+
+def _wide(n: int, t: int, distinct: bool) -> bool:
+    """True when the family is at least ``_WIDE_FLOOR`` long by the bound."""
+    return min(t, (n if distinct else n + t - 1) - t) >= 14
+
+
 def _require_admissible(n: int, t: int, distinct: bool) -> int:
     """The family size when n divides it (else ``InadmissibleError``) and it is
     at most ``MAX_LETTERS`` (else ``ValueError``): every front is refused here.
-    A family C(N, t) with min(t, N - t) >= 14 has at least C(28, 14) members,
-    so it is refused before its binomial, or its divisibility, is computed."""
-    top = n if distinct else n + t - 1
-    if min(t, top - t) >= 14:
+    A family the one shared bound, ``_wide``, puts at ``_WIDE_FLOOR`` members
+    or more is refused before its binomial is computed; any other is sized
+    once, and n's divisibility is tested on that size."""
+    if _wide(n, t, distinct):
         raise ValueError(
-            f"n={n} t={t} asks for a word of at least {math.comb(28, 14)} letters; "
-            f"the limit is {MAX_LETTERS}"
+            f"n={n} t={t} asks for a word of at least {_WIDE_FLOOR} letters; the limit is {MAX_LETTERS}"
         )
-    if not (admissible_subset if distinct else admissible_multiset)(n, t):
+    k = _checked_size(n, t, distinct)
+    if k % n:
         raise InadmissibleError(f"{n} does not divide C({n if distinct else n + t - 1},{t})")
-    k = _family_size(n, t, distinct)
     if k > MAX_LETTERS:
         raise ValueError(f"n={n} t={t} asks for a word of {k} letters; the limit is {MAX_LETTERS}")
     return k
@@ -192,13 +213,18 @@ class VerificationReport:
     same object.  A passing word's ``missing`` and ``duplicated`` are ``()``
     from the start, and its ``frequency_table`` gives every letter (family
     size)/n without reading the word; a failing word's evidence is computed
-    from the word and ``t``.
+    from the word and ``t``.  A report on a family the shared bound
+    (``_wide``) puts above the word's length defers ``expected_length`` too:
+    the word fails its length step unsized, and reading the field computes
+    the exact size.
     Either kind of report compares equal field by field to one constructed
     from its six values.
 
     ``as_text`` is bounded by the word: when n exceeds its length, the
     ``frequency:`` line lists the letters that occur, then ``(+K absent)``;
-    when it is shorter than t, no missing key is listed.
+    when it is shorter than t, no missing key is listed.  An unsized family
+    is shown by its bound: ``expected_length: at least 40116600``, and the
+    missing count that follows from it, each one ``at least``.
     """
 
     ok: bool
@@ -209,14 +235,16 @@ class VerificationReport:
     frequency_table: dict[int, int]
 
     @classmethod
-    def _deferred(cls, ok: bool, expected: int, word: CycleWord, t: int, distinct: bool) -> VerificationReport:
-        """A verifier's report, its evidence left unset until read (see ``__getattr__``)."""
+    def _deferred(cls, ok: bool, expected: int | None, word: CycleWord, t: int, distinct: bool) -> VerificationReport:
+        """A verifier's report, its evidence (and ``expected_length`` when
+        ``expected`` is None) left unset until read (see ``__getattr__``)."""
         report = object.__new__(cls)
         # straight into the instance dict: the frozen __setattr__ is bypassed
         # at a fraction of the cost of object.__setattr__
         fields = report.__dict__
         fields["ok"] = ok
-        fields["expected_length"] = expected
+        if expected is not None:
+            fields["expected_length"] = expected
         fields["actual_length"] = len(word.letters)
         fields["_source"] = (word, t, distinct)
         if ok:
@@ -238,19 +266,23 @@ class VerificationReport:
         elif name in ("missing", "duplicated"):
             # duplicated keys come from the windows alone: walk no family
             self._detail(None if name == "missing" else 0)
+        elif name == "expected_length":
+            word, t, distinct = self._source
+            object.__setattr__(self, name, _family_size(word.alphabet_size, t, distinct))
         else:
             raise AttributeError(name)
         return self.__dict__[name]
 
     def _detail(self, limit: int | None) -> tuple[int, tuple[MultisetKey, ...]]:
-        """The missing count and the first ``limit`` missing keys (all when None).
+        """The number of family members hit and the first ``limit`` missing
+        keys (all when None).
 
-        Keeps ``duplicated``, and ``missing`` too when the keys found are all
-        of them.  The count is arithmetic: every window is a t-multiset of
-        [n], and in subset mode every window without a repeated letter is a
-        t-subset, so the family members hit are the distinct windows less the
-        invalid ones.  The family is walked in order only until ``limit`` keys
-        are found.
+        Keeps ``duplicated``, and ``missing`` too when the walk of the family
+        ends before ``limit`` keys are found.  The count is arithmetic: every
+        window is a t-multiset of [n], and in subset mode every window without
+        a repeated letter is a t-subset, so the family members hit are the
+        distinct windows less the invalid ones.  The family is walked in order
+        only until ``limit`` keys are found.
         """
         word, t, distinct = self._source
         counts = Counter(cyclic_windows(word, t)) if len(word) >= t else Counter()
@@ -259,10 +291,9 @@ class VerificationReport:
         kept.setdefault("duplicated", tuple(sorted((k, c) for k, c in counts.items() if c >= 2 or k in invalid)))
         family = _family(word.alphabet_size, t, distinct)
         missing = tuple(islice(filterfalse(counts.__contains__, family), limit))
-        count = self.expected_length - len(counts) + len(invalid)
-        if len(missing) == count:
+        if limit is None or len(missing) < limit:
             kept.setdefault("missing", missing)
-        return count, missing
+        return len(counts) - len(invalid), missing
 
     def as_text(self, max_items: int | None = None) -> str:
         source = self.__dict__.get("_source")
@@ -270,25 +301,29 @@ class VerificationReport:
         # a word shorter than t has no windows: every key is missing, none listed
         short = self.actual_length < t
         limit = 0 if short else max_items
+        # an unsized family is shown by its bound, and so is what follows from it
+        sized = "expected_length" in self.__dict__
+        expected, at_least = (self.expected_length, "") if sized else (_WIDE_FLOOR, "at least ")
         if "missing" not in self.__dict__ and limit is not None and limit >= 0:
             # count the missing keys and walk the family only as far as shown
-            missing_count, shown = self._detail(limit)
+            hit, shown = self._detail(limit)
+            missing_count, bound = expected - hit, at_least
         else:
-            missing_count, shown = len(self.missing), self.missing[:limit]
+            missing_count, bound, shown = len(self.missing), "", self.missing[:limit]
         duplicated = self.duplicated
         lines = [
             f"ok: {'true' if self.ok else 'false'}",
-            f"expected_length: {self.expected_length}",
+            f"expected_length: {at_least}{expected}",
             f"actual_length: {self.actual_length}",
-            f"missing_count: {missing_count}",
+            f"missing_count: {bound}{missing_count}",
             f"duplicated_count: {len(duplicated)}",
         ]
         if missing_count and not short:
-            lines.append("missing: " + _listed(map(_format_key, shown), missing_count - len(shown)))
+            lines.append("missing: " + _listed(map(_format_key, shown), missing_count - len(shown), bound))
         if duplicated:
             shown_d = duplicated if max_items is None else duplicated[:max_items]
             items = (f"{_format_key(k)}x{c}" for k, c in shown_d)
-            lines.append("duplicated: " + _listed(items, len(duplicated) - len(shown_d)))
+            lines.append("duplicated: " + _listed(items, len(duplicated) - len(shown_d), ""))
         n = source[0].alphabet_size if source else len(self.frequency_table)
         # n above the word's length: list the letters that occur, counted
         # (bools as ints) without a table over [n]
@@ -300,9 +335,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _listed(items: Iterator[str], more: int) -> str:
-    """The items shown, then ``(+more more)`` when some are not, one space apart."""
-    return " ".join([*items, f"(+{more} more)"] if more else items)
+def _listed(items: Iterator[str], more: int, bound: str) -> str:
+    """The items shown, then ``(+more more)``, ``bound`` before ``more``, when
+    some are not, one space apart."""
+    return " ".join([*items, f"(+{bound}{more} more)"] if more else items)
 
 
 def _frequency_table(word: CycleWord) -> dict[int, int]:
@@ -315,8 +351,13 @@ def _verify(word: CycleWord, t: int, distinct: bool) -> VerificationReport:
     if t < 1:
         raise ValueError("window size must be positive")
     n = word.alphabet_size
-    expected = _family_size(n, t, distinct)
     letters = word.letters
+    # by the gate's bound, a word shorter than _WIDE_FLOOR fails its length
+    # step on a wide family, left unsized; t >= 14 is tested first, so a
+    # narrower window pays one comparison
+    if t >= 14 and _wide(n, t, distinct) and len(letters) < _WIDE_FLOOR:
+        return VerificationReport._deferred(False, None, word, t, distinct)
+    expected = _family_size(n, t, distinct)
     ok = (
         t <= len(letters) == expected
         and letters.count(letters[0]) * n == expected

@@ -66,19 +66,10 @@ class TestCycleWord:
         letters = [True] + [1 + i % 3 for i in range(1, length)]
         assert CycleWord(3, letters).letters == tuple(letters)
 
-    def test_reflected(self):
-        assert CycleWord(3, (1, 2, 3)).reflected().letters == (3, 2, 1)
-
 
 class TestTrustedWords:
-    """Reflections and canonical representatives skip the letter check; each
-    equals the word the checked constructor builds."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_words)
-    def test_reflected(self, nw):
-        n, letters = nw
-        assert CycleWord(n, letters).reflected() == CycleWord(n, letters[::-1])
+    """Canonical representatives skip the letter check; each equals the word
+    the checked constructor builds."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_words)

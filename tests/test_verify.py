@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from ucycles.core import CycleWord
 from ucycles.verify import (
+    InadmissibleError,
     VerificationReport,
     _distinct_windows,
     _family,
@@ -268,6 +269,22 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             admissible_subset(2, 3)  # needs n >= t
 
+    @pytest.mark.parametrize(
+        "n, t, distinct, message",
+        [
+            (0, 3, False, "n and t must be positive"),
+            (3, 0, True, "n and t must be positive"),
+            (0, 5, True, "n and t must be positive"),  # before n < t
+            (2, 3, True, "subsets need n >= t"),
+        ],
+    )
+    def test_the_gate_refuses_as_the_predicates_do(self, n, t, distinct, message):
+        predicate = admissible_subset if distinct else admissible_multiset
+        for call in (predicate, lambda n, t: _require_admissible(n, t, distinct)):
+            with pytest.raises(ValueError, match=f"^{message}$") as refused:
+                call(n, t)
+            assert type(refused.value) is ValueError
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # how the gate words a family it refuses before computing C(N, t)
@@ -330,6 +347,42 @@ class TestSizeLimit:
             _require_admissible(15, 14, False)
         with pytest.raises(ValueError, match=f"^n=28 t=14 {WIDE_REFUSAL}$"):
             _require_admissible(28, 14, True)
+
+    def test_the_gate_sizes_a_family_once(self):
+        # n's divisibility is tested on the size the gate returns
+        with mock.patch("ucycles.verify._family_size", wraps=_family_size) as spy:
+            assert _require_admissible(4, 3, False) == 20
+            with pytest.raises(InadmissibleError):
+                _require_admissible(9, 3, False)
+            assert _require_admissible(8, 3, True) == 56
+        assert spy.call_args_list == [mock.call(4, 3, False), mock.call(9, 3, False), mock.call(8, 3, True)]
+
+    def test_a_short_word_fails_a_wide_family_unsized(self):
+        # the verifier fails it by the gate's bound; sizing C(1999999, 10**6)
+        # exactly would not end within the timeout
+        child = textwrap.dedent(
+            """
+            from ucycles.core import CycleWord
+            from ucycles.verify import verify_multiset_ucycle
+            report = verify_multiset_ucycle(CycleWord(10**6, (1, 2, 3)), 10**6)
+            print(report.ok)
+            print(report.as_text(max_items=50))
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == [
+            "False",
+            "ok: false",
+            "expected_length: at least 40116600",
+            "actual_length: 3",
+            "missing_count: at least 40116600",
+            "duplicated_count: 0",
+            "frequency: 1=1 2=1 3=1 (+999997 absent)",
+        ]
 
     @staticmethod
     def _refused_in_child(module, call, timeout=60):
@@ -670,6 +723,45 @@ class TestReportText:
         # the constructed form of a short report gives the same text
         short = verify(word, 5)
         assert short.as_text(max_items) == dataclasses.replace(short).as_text(max_items)
+
+    def test_a_wide_family_is_shown_by_its_bound(self):
+        # 40 letters against C(119, 20) multisets: the word fails its length
+        # step unsized, and each line that needs the size shows the bound
+        word = CycleWord(100, tuple(range(1, 41)))
+        with mock.patch("ucycles.verify._family_size", wraps=_family_size) as spy:
+            report = verify_multiset_ucycle(word, 20)
+            lines = report.as_text(max_items=5).splitlines()
+        spy.assert_not_called()
+        assert not report.ok
+        assert lines[1:5] == [
+            "expected_length: at least 40116600",
+            "actual_length: 40",
+            "missing_count: at least 40116560",
+            "duplicated_count: 0",
+        ]
+        assert lines[5].endswith("} (+at least 40116555 more)")
+        # reading the field sizes the family exactly, and the text follows it
+        assert report.expected_length == math.comb(119, 20)
+        assert report.as_text(max_items=5).splitlines()[1:4] == [
+            f"expected_length: {math.comb(119, 20)}",
+            "actual_length: 40",
+            f"missing_count: {math.comb(119, 20) - 40}",
+        ]
+
+    @pytest.mark.parametrize(
+        "verify, n, t, size, sized",
+        [
+            (verify_multiset_ucycle, 14, 13, math.comb(26, 13), True),
+            (verify_multiset_ucycle, 15, 14, math.comb(28, 14), False),
+            (verify_subset_ucycle, 27, 14, math.comb(27, 14), True),
+            (verify_subset_ucycle, 28, 14, math.comb(28, 14), False),
+        ],
+    )
+    def test_the_bound_starts_at_min_k_14(self, verify, n, t, size, sized):
+        report = verify(CycleWord(n, (1, 2, 3)), t)
+        line = report.as_text(max_items=5).splitlines()[1]
+        assert line == f"expected_length: {'' if sized else 'at least '}{size}"
+        assert report.expected_length == size
 
     def test_duplicated_walks_no_family(self):
         # the duplicated keys of a huge family's report are read off the
